@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BhtArimaError, ConfigError, DataFormatError, NumericalError
 from .evaluate import rolling_backtest, synth_dataset
-from .model import FittedModel, ModelConfig, fit, forecast
+from .model import FittedModel, ModelConfig, _require_finite, fit, forecast
 from .tensor import read_flat_tensor, write_flat_tensor
 
 __all__ = [
@@ -92,11 +92,15 @@ def parse_flat_tensor(path: str) -> np.ndarray:
 
 
 def load_dataset(path: str, fmt: str) -> np.ndarray:
+    """Load a CSV or flat tensor file, rejecting NaN and inf values."""
     if fmt == "csv":
-        return parse_csv(path)
-    if fmt == "flat":
-        return parse_flat_tensor(path)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+        data = parse_csv(path)
+    elif fmt == "flat":
+        data = parse_flat_tensor(path)
+    else:
+        raise ConfigError(f"unknown dataset format {fmt!r}")
+    _require_finite(data, path)
+    return data
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,18 @@ def reconstruct(ds: DifferencedSeries) -> np.ndarray:
     return level
 
 
+def _integrate(
+    tails: tuple[np.ndarray, ...], value: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Add ``value`` to each tail from level d-1 down to level 0; return the
+    new tails and the restored original-scale value (the new level-0 tail)."""
+    new_tails = list(tails)
+    for k in range(len(tails) - 1, -1, -1):
+        value = tails[k] + value
+        new_tails[k] = value
+    return tuple(new_tails), value
+
+
 def invert_last(ds: DifferencedSeries, predicted: np.ndarray) -> np.ndarray:
     """Integrate one predicted order-d difference back to the original scale.
 
@@ -83,28 +95,22 @@ def invert_last(ds: DifferencedSeries, predicted: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"predicted slice shape {predicted.shape} != {ds.slice_shape}"
         )
-    value = predicted
-    for tail in reversed(ds.tails):
-        value = tail + value
-    return value
+    return _integrate(ds.tails, predicted)[1]
 
 
 def extend(ds: DifferencedSeries, predicted: np.ndarray) -> tuple[DifferencedSeries, np.ndarray]:
     """Append a predicted order-d difference; return the new state and the
     restored original-scale slice."""
-    value = np.asarray(predicted, dtype=np.float64)
-    if value.shape != ds.slice_shape:
-        raise ValueError(f"predicted slice shape {value.shape} != {ds.slice_shape}")
-    new_tails = list(ds.tails)
-    for k in range(ds.order - 1, -1, -1):
-        value = ds.tails[k] + value
-        new_tails[k] = value
+    predicted = np.asarray(predicted, dtype=np.float64)
+    if predicted.shape != ds.slice_shape:
+        raise ValueError(f"predicted slice shape {predicted.shape} != {ds.slice_shape}")
+    new_tails, value = _integrate(ds.tails, predicted)
     return (
         DifferencedSeries(
             order=ds.order,
             slices=np.concatenate([ds.slices, predicted[..., None]], axis=-1),
             heads=ds.heads,
-            tails=tuple(new_tails),
+            tails=new_tails,
         ),
         value,
     )

@@ -10,7 +10,8 @@ class ConfigError(BhtArimaError, ValueError):
 
 
 class DataFormatError(BhtArimaError, ValueError):
-    """Malformed input file (CSV or flat tensor text)."""
+    """Malformed or non-finite input data (a CSV or flat tensor text file, or
+    an array passed to the model)."""
 
 
 class NumericalError(BhtArimaError, RuntimeError):

@@ -6,8 +6,11 @@ of compressed core tensors, orthonormal per-mode factor bases (with an
 unconstrained last mode in relaxed mode), AR/MA coefficients, and shared
 error tensors, until the relative factor change drops below tolerance.
 ``forecast`` propagates the core-space recursion and maps predictions back
-through Tucker composition, inverse differencing, and inverse delay
-embedding.
+through Tucker composition and inverse differencing; the newest
+original-space value is the last window entry of the newest embedded slice.
+``forecast`` and ``append_observation`` read only the last ``p`` cores, the
+``q`` error tensors, the ``d`` differencing tails and the last embedded
+window, so a streaming step costs the same whatever the history length.
 
 Everything is deterministic given the input, the configuration, and the seed.
 """
@@ -21,9 +24,9 @@ import numpy as np
 
 from . import linalg
 from .coeffs import ArimaCoefficients, estimate_coefficients
-from .diff import DifferencedSeries, difference, extend, push_observed, reconstruct
-from .errors import ConfigError
-from .mdt import inverse_mdt_temporal, mdt_temporal
+from .diff import DifferencedSeries, _integrate, difference, push_observed
+from .errors import ConfigError, DataFormatError
+from .mdt import mdt_temporal
 from .tensor import mode_product, multi_mode_product
 
 __all__ = [
@@ -340,6 +343,14 @@ def _project_except(
     return out
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    """Raise :class:`DataFormatError` naming the first NaN or inf in ``x``."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DataFormatError(f"{what}: non-finite value {x[idx]} at index {idx}")
+
+
 def _orthogonality_defect(factors: list[np.ndarray], n_constrained: int) -> float:
     worst = 0.0
     for f in factors[:n_constrained]:
@@ -359,6 +370,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     its state is self-consistent under the converged factors.
     """
     x = np.asarray(x, dtype=np.float64)
+    _require_finite(x, "input data")
     cfg.validate_for(x.shape)
     p, q = cfg.p, cfg.q
 
@@ -444,15 +456,21 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     )
 
 
+def _recent_cores(cores: np.ndarray, p: int) -> list[np.ndarray]:
+    """The last ``p`` cores of a stack, newest first (lag 1, ..., lag p)."""
+    return [cores[..., -i] for i in range(1, p + 1)]
+
+
 def _core_prediction(
-    cores: np.ndarray, errors: list[np.ndarray], coeffs: ArimaCoefficients
+    model: FittedModel, lags: list[np.ndarray], errors: list[np.ndarray]
 ) -> np.ndarray:
-    """One-step core-space prediction from the most recent cores/errors."""
-    pred = np.zeros(cores.shape[:-1])
-    for i, a in enumerate(coeffs.alpha, start=1):
-        pred += a * cores[..., -i]
-    for i, b in enumerate(coeffs.beta):
-        pred -= b * errors[i]
+    """One-step core-space prediction from the lag-1..p cores (newest
+    first) and the lag-1..q error tensors."""
+    pred = np.zeros(model.ranks)
+    for a, core in zip(model.coeffs.alpha, lags):
+        pred += a * core
+    for b, err in zip(model.coeffs.beta, errors):
+        pred -= b * err
     return pred
 
 
@@ -460,34 +478,34 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
     """Recursive multi-step forecast in the original space.
 
     Each step predicts the next differenced core, composes it back to an
-    embedded slice, integrates the differencing, and appends the slice; the
-    original-space value is read off the inverse delay embedding of the
-    extended sequence. Later steps reuse predicted slices (projected back to
-    cores) with zero future innovations; the model is never refitted.
+    embedded slice and integrates the differencing through the stored tails.
+    The newest original-space position is covered only by the last window
+    entry of the newest slice, so anti-diagonal averaging would return that
+    entry unchanged; it is read off directly. Later steps reuse predicted
+    slices (projected back to cores) with zero future innovations; the model
+    is never refitted. Only the last ``p`` cores, the ``q`` error tensors and
+    the ``d`` differencing tails are read, so a step costs the same whatever
+    the length of the history.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     factors = list(model.factors)
-    relaxed = model.config.ortho == "relaxed"
-    cores = model.cores
-    errors = [np.array(e) for e in model.errors]
-    ds = model.diff_state
-    emb_seq = reconstruct(ds)
+    projectors = _projectors(factors, model.config.ortho == "relaxed")
+    lags = _recent_cores(model.cores, len(model.coeffs.alpha))
+    errors = list(model.errors)
+    tails = model.diff_state.tails
     out_orig = []
     out_emb = []
-    for _ in range(horizon):
-        d_core = _core_prediction(cores, errors, model.coeffs)
+    for step in range(horizon):
+        if step:
+            lags = [multi_mode_product(d_slice, projectors), *lags][: len(lags)]
+            errors = [np.zeros(model.ranks), *errors][: len(errors)]
+        d_core = _core_prediction(model, lags, errors)
         d_slice = multi_mode_product(d_core, factors)
-        ds, emb_slice = extend(ds, d_slice)
-        emb_seq = np.concatenate([emb_seq, emb_slice[..., None]], axis=-1)
-        series = inverse_mdt_temporal(emb_seq, model.tau)
-        out_orig.append(series[..., -1])
+        tails, emb_slice = _integrate(tails, d_slice)
+        # 0.0 + maps -0.0 to +0.0, as inverse_mdt_temporal's zero-started sum does.
+        out_orig.append(0.0 + emb_slice[..., -1])
         out_emb.append(emb_slice)
-        cores = np.concatenate(
-            [cores, _project_all(d_slice, factors, relaxed)[..., None]], axis=-1
-        )
-        if errors:
-            errors = [np.zeros(model.ranks)] + errors[:-1]
     return ForecastResult(
         forecasts=np.stack(out_orig, axis=-1),
         embedded_forecasts=np.stack(out_emb, axis=-1),
@@ -499,26 +517,30 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
 def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel:
     """Absorb one observed original-space slice without refitting.
 
-    Factors and coefficients stay fixed; the embedded sequence, differencing
-    state, core sequence, and error lags advance by one step (the realized
-    innovation replaces the lag-1 error tensor).
+    Factors and coefficients stay fixed; the differencing state, core
+    sequence, and error lags advance by one step (the realized innovation
+    replaces the lag-1 error tensor). The new embedded slice is the last
+    observed window (the level-0 differencing tail, or the newest slice when
+    ``d = 0``) shifted by one with ``new_slice`` appended, so no history is
+    rebuilt.
     """
     new_slice = np.asarray(new_slice, dtype=np.float64)
     if new_slice.shape != model.original_shape[:-1]:
         raise ValueError(
             f"slice shape {new_slice.shape} != {model.original_shape[:-1]}"
         )
-    emb_seq = reconstruct(model.diff_state)
-    series = inverse_mdt_temporal(emb_seq, model.tau)
-    extended = np.concatenate([series, new_slice[..., None]], axis=-1)
-    emb_new = mdt_temporal(extended[..., -model.tau :], model.tau)[..., 0]
-    ds2, d_new = push_observed(model.diff_state, emb_new)
+    _require_finite(new_slice, "appended slice")
+    ds = model.diff_state
+    window = ds.tails[0] if ds.order else ds.slices[..., -1]
+    emb_new = np.concatenate([window[..., 1:], new_slice[..., None]], axis=-1)
+    ds2, d_new = push_observed(ds, emb_new)
     g_new = _project_all(
         d_new, list(model.factors), model.config.ortho == "relaxed"
     )
-    errors = [np.array(e) for e in model.errors]
+    errors = list(model.errors)
     if errors:
-        predicted = _core_prediction(model.cores, errors, model.coeffs)
+        lags = _recent_cores(model.cores, len(model.coeffs.alpha))
+        predicted = _core_prediction(model, lags, errors)
         errors = [g_new - predicted] + errors[:-1]
     return replace(
         model,

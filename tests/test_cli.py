@@ -214,3 +214,34 @@ def test_order3_forecast_written_as_flat_tensor(tmp_path):
     assert code == 0
     forecasts = cli.parse_flat_tensor(fc)
     assert forecasts.shape == (3, 4, 2)
+
+
+# --- non-finite input --------------------------------------------------------
+
+
+def test_nan_cell_is_usage_error(tmp_path, capfd):
+    data_path, _ = make_dataset(tmp_path)
+    rows = open(data_path).read().splitlines()
+    cells = rows[2].split(",")
+    cells[5] = "nan"
+    rows[2] = ",".join(cells)
+    write(tmp_path / "data.csv", "\n".join(rows) + "\n")
+    out = str(tmp_path / "never.csv")
+    code = cli.main(
+        ["fit-forecast", data_path, "--ranks", "8,3", "--forecast-out", out]
+    )
+    assert code == cli.USAGE_ERROR
+    err = capfd.readouterr().err
+    assert "non-finite value nan at index (2, 5)" in err
+    assert "DLASCL" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "1,2,3\n4,inf,6\n"),
+    ("flat", "2 2\n1 2 -inf 4\n"),
+])
+def test_load_dataset_rejects_non_finite(tmp_path, fmt, text):
+    p = write(tmp_path / "a.txt", text)
+    with pytest.raises(DataFormatError, match="non-finite"):
+        cli.load_dataset(p, fmt)

@@ -1,12 +1,20 @@
 """Model tests: config validation, update rules, fit/forecast behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bht_arima.diff import difference
-from bht_arima.errors import ConfigError
-from bht_arima.evaluate import synth_dataset
-from bht_arima.mdt import mdt_temporal
+import bht_arima
+import bht_arima.diff
+import bht_arima.evaluate
+import bht_arima.mdt
+import bht_arima.model
+from bht_arima import linalg
+from bht_arima.diff import difference, extend, push_observed, reconstruct
+from bht_arima.errors import ConfigError, DataFormatError
+from bht_arima.evaluate import rolling_backtest, synth_dataset
+from bht_arima.mdt import inverse_mdt_temporal, mdt_temporal
 from bht_arima.model import (
     FittedModel,
     ModelConfig,
@@ -426,3 +434,171 @@ def test_fit_forecast_order3_input():
     result = forecast(m, 2)
     assert result.forecasts.shape == (3, 4, 2)
     assert result.embedded_forecasts.shape == (3, 4, 3, 2)
+
+
+# --- streaming state: equivalence with the history-rebuilding path ------------
+
+
+def _oracle_projectors(m):
+    mats = [f.T for f in m.factors]
+    if m.config.ortho == "relaxed":
+        mats[-1] = linalg.pinv(m.factors[-1])
+    return mats
+
+
+def _oracle_prediction(m, cores, errors):
+    pred = np.zeros(m.ranks)
+    for i, a in enumerate(m.coeffs.alpha, start=1):
+        pred += a * cores[..., -i]
+    for i, b in enumerate(m.coeffs.beta):
+        pred -= b * errors[i]
+    return pred
+
+
+def oracle_forecast(m, horizon):
+    """Reference forecast that rebuilds the whole history at every step:
+    reconstruct, extend, then read the value off the inverse embedding."""
+    proj = _oracle_projectors(m)
+    cores = m.cores
+    errors = [np.array(e) for e in m.errors]
+    ds = m.diff_state
+    emb_seq = reconstruct(ds)
+    out_orig, out_emb = [], []
+    for _ in range(horizon):
+        pred = _oracle_prediction(m, cores, errors)
+        d_slice = multi_mode_product(pred, list(m.factors))
+        ds, emb_slice = extend(ds, d_slice)
+        emb_seq = np.concatenate([emb_seq, emb_slice[..., None]], axis=-1)
+        out_orig.append(inverse_mdt_temporal(emb_seq, m.tau)[..., -1])
+        out_emb.append(emb_slice)
+        g = multi_mode_product(d_slice, proj)
+        cores = np.concatenate([cores, g[..., None]], axis=-1)
+        if errors:
+            errors = [np.zeros(m.ranks)] + errors[:-1]
+    return np.stack(out_orig, axis=-1), np.stack(out_emb, axis=-1)
+
+
+def oracle_append(m, new_slice):
+    """Reference append that re-embeds the tail of the rebuilt history."""
+    series = inverse_mdt_temporal(reconstruct(m.diff_state), m.tau)
+    extended = np.concatenate([series, new_slice[..., None]], axis=-1)
+    emb_new = mdt_temporal(extended[..., -m.tau :], m.tau)[..., 0]
+    ds2, d_new = push_observed(m.diff_state, emb_new)
+    g_new = multi_mode_product(d_new, _oracle_projectors(m))
+    errors = list(m.errors)
+    if errors:
+        errors = [g_new - _oracle_prediction(m, m.cores, errors)] + errors[:-1]
+    return replace(
+        m,
+        cores=np.concatenate([m.cores, g_new[..., None]], axis=-1),
+        errors=tuple(errors),
+        diff_state=ds2,
+        original_shape=(*m.original_shape[:-1], m.original_shape[-1] + 1),
+        t_hat=m.t_hat + 1,
+    )
+
+
+def _order3_panel():
+    rng = np.random.default_rng(10)
+    base = np.sin(np.arange(30.0) / 3.0)
+    scale = rng.uniform(0.5, 1.5, size=(3, 4))[..., None]
+    return scale * base + 0.01 * rng.standard_normal((3, 4, 30))
+
+
+STREAM_CASES = [
+    pytest.param(
+        BENCH, ModelConfig(d=d, tau=tau, ortho=ortho), id=f"d{d}-tau{tau}-{ortho}"
+    )
+    for d in (0, 1, 2)
+    for tau in (1, 3, 4)
+    for ortho in ("full", "relaxed")
+] + [pytest.param(_order3_panel(), ModelConfig(p=1, d=1, q=1, tau=3), id="order3")]
+
+
+@pytest.mark.parametrize("x, cfg", STREAM_CASES)
+def test_forecast_bit_identical_to_history_rebuild(x, cfg):
+    m = fit(x, cfg)
+    result = forecast(m, 8)
+    expected, expected_emb = oracle_forecast(m, 8)
+    assert np.array_equal(result.forecasts, expected)
+    assert np.array_equal(result.embedded_forecasts, expected_emb)
+
+
+@pytest.mark.parametrize("x, cfg", STREAM_CASES)
+def test_append_walk_matches_history_rebuild(x, cfg):
+    n_train = x.shape[-1] - 10
+    m = fit(x[..., :n_train], cfg)
+    ref = m
+    for k in range(n_train, x.shape[-1]):
+        got = forecast(m, 1).forecasts[..., 0]
+        want = oracle_forecast(ref, 1)[0][..., 0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        m = append_observation(m, x[..., k])
+        ref = oracle_append(ref, x[..., k])
+    assert m.original_shape == ref.original_shape
+    assert np.allclose(m.cores, ref.cores, rtol=0, atol=1e-12 * np.abs(ref.cores).max())
+
+
+def _model_arrays(m):
+    ds = m.diff_state
+    return [
+        *m.factors, m.cores, *m.errors, m.coeffs.alpha, m.coeffs.beta,
+        ds.slices, *ds.heads, *ds.tails, m.trace, m.ortho_trace,
+    ]
+
+
+def test_forecast_leaves_model_unchanged():
+    m = fit(BENCH, ModelConfig(d=2, tau=4, q=2))
+    before = [a.copy() for a in _model_arrays(m)]
+    forecast(m, 6)
+    after = _model_arrays(m)
+    assert len(before) == len(after)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_streaming_never_rebuilds_history(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("history rebuilt")
+
+    modules = (
+        bht_arima, bht_arima.diff, bht_arima.mdt, bht_arima.model, bht_arima.evaluate
+    )
+
+    def stub(original):
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, forbidden)
+
+    stub(bht_arima.diff.reconstruct)
+    stub(bht_arima.mdt.inverse_mdt_temporal)
+    report = rolling_backtest(BENCH, BENCH_CFG, 0.8, refit=False)
+    assert np.isfinite(report.nrmse)
+
+    m = fit(BENCH[..., :36], BENCH_CFG)
+    stub(bht_arima.mdt.mdt_temporal)  # fit embeds once; streaming never does
+    assert forecast(m, 5).forecasts.shape == (20, 5)
+    m2 = append_observation(m, BENCH[..., 36])
+    assert np.all(np.isfinite(forecast(m2, 1).forecasts))
+
+
+# --- non-finite input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_input(bad, capfd):
+    x = BENCH.copy()
+    x[4, 17] = bad
+    with pytest.raises(DataFormatError, match=r"index \(4, 17\)"):
+        fit(x, BENCH_CFG)
+    assert "DLASCL" not in capfd.readouterr().err
+
+
+def test_append_observation_rejects_non_finite_slice():
+    m = fit(BENCH[..., :36], BENCH_CFG)
+    new = BENCH[..., 36].copy()
+    new[3] = np.nan
+    with pytest.raises(DataFormatError, match="appended slice"):
+        append_observation(m, new)
+    # the model is untouched and keeps forecasting finite values
+    assert np.all(np.isfinite(forecast(m, 3).forecasts))
