@@ -37,7 +37,6 @@ __all__ = [
     "forecast",
     "append_observation",
     "update_core",
-    "update_factor_full",
     "update_factor_relaxed",
     "update_error",
 ]
@@ -170,7 +169,11 @@ def update_core(
     """Closed-form core update: half the sum of the Tucker projection and
     the ARIMA prediction from lagged cores and error tensors.
 
-    ``prev_cores[i]`` and ``errors[i]`` are the lag-``i+1`` tensors.
+    ``prev_cores[i]`` and ``errors[i]`` are the lag-``i+1`` tensors. The
+    operands may also carry a trailing time axis: a stack of projections
+    with matching stacks of lagged cores and ``errors[i][..., None]``
+    broadcast, updating every slice at once with the same per-element
+    arithmetic as slice-by-slice calls.
     """
     acc = np.array(projection, dtype=np.float64)
     for i, a in enumerate(alpha):
@@ -187,50 +190,16 @@ def _stack_unfold(seq: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(seq, mode, 0), (seq.shape[mode], -1), order="F")
 
 
-def _alignment_matrix(
-    xs: np.ndarray,
-    cores: np.ndarray,
-    factors: list[np.ndarray] | tuple[np.ndarray, ...],
-    mode: int,
-) -> np.ndarray:
-    """``sum_t X_t^(mode) U^(-mode).T G_t^(mode).T`` over the stacked range."""
-    partial = multi_mode_product(xs, factors, transpose=True, skip=mode)
-    return _stack_unfold(partial, mode) @ _stack_unfold(cores, mode).T
-
-
-def update_factor_full(
-    xs: np.ndarray,
-    cores: np.ndarray,
-    factors: list[np.ndarray] | tuple[np.ndarray, ...],
-    mode: int,
-) -> np.ndarray:
-    """Procrustes update of the mode-``mode`` factor.
-
-    ``xs`` and ``cores`` stack the differenced embedded slices and the
-    current cores over the objective's time range (last axis). The factor is
-    the orthonormal maximizer aligned with
-    ``sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
-    """
-    return linalg.procrustes(_alignment_matrix(xs, cores, factors, mode))
-
-
-def _factor_basis(
-    xs: np.ndarray,
-    cores: np.ndarray,
-    factors: list[np.ndarray] | tuple[np.ndarray, ...],
-    mode: int,
-    relaxed: bool = False,
-) -> np.ndarray:
+def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
-    of the alignment matrix.
+    of the alignment matrix ``sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
 
-    Spans the same alignment as :func:`update_factor_full` but pins the
-    within-subspace rotation to the singular basis. The pure Procrustes map
-    leaves that rotation free, and with full Tucker ranks the autoregressive
-    terms then spin the factors by a constant angle every sweep, so the
-    relative-factor-change stopping rule would never fire.
+    ``partial`` is the stacked data projected on every mode but ``mode``.
+    The basis pins the within-subspace rotation to the singular vectors: a
+    rotation-free Procrustes map ``u @ v.T`` would, with full Tucker ranks,
+    let the autoregressive terms spin the factors by a constant angle every
+    sweep, so the relative-factor-change stopping rule would never fire.
     """
-    partial = _project_except(xs, list(factors), relaxed, mode)
     w = _stack_unfold(partial, mode) @ _stack_unfold(cores, mode).T
     return linalg.svd(w).u
 
@@ -324,23 +293,11 @@ def _projectors(
     return mats
 
 
-def _project_all(
-    dx: np.ndarray, factors: list[np.ndarray], relaxed: bool = False
-) -> np.ndarray:
-    out = dx
-    for mode, mat in enumerate(_projectors(factors, relaxed)):
-        out = mode_product(out, mat, mode)
-    return out
-
-
-def _project_except(
-    dx: np.ndarray, factors: list[np.ndarray], relaxed: bool, skip: int
-) -> np.ndarray:
-    out = dx
-    for mode, mat in enumerate(_projectors(factors, relaxed)):
-        if mode != skip:
-            out = mode_product(out, mat, mode)
-    return out
+def _project_from(t: np.ndarray, projectors: list[np.ndarray], first: int) -> np.ndarray:
+    """Apply ``projectors[mode]`` on every mode from ``first`` on, in order."""
+    for mode in range(first, len(projectors)):
+        t = mode_product(t, projectors[mode], mode)
+    return t
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:
@@ -397,31 +354,49 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     ridge_used = False
     err_skipped = False
 
+    # Projections reuse work: ``prefix`` and ``partial_prefix`` carry the
+    # data (all of it, and the objective's range ``start:``) projected on
+    # the modes already updated in this sweep, and the fully advanced prefix
+    # is the next sweep's starting cores. The two prefixes are computed
+    # separately, not by slicing one, so every mode product sees the same
+    # operand shapes and gives the same bits as a fresh projection.
+    projectors = _projectors(factors, relaxed)
+    cores = multi_mode_product(dx, projectors)
     for _ in range(cfg.max_iter):
-        cores = _project_all(dx, factors, relaxed)
         est = estimate_coefficients(cores, p, q)
         previous = [f.copy() for f in factors]
+        prefix, partial_prefix = dx, dx[..., start:]
         for mode in range(n_modes):
-            projection = _project_all(dx, factors, relaxed)
+            projection = _project_from(prefix, projectors, mode) if mode else cores
             new_cores = projection.copy()
-            for j in range(start, n_diff):
-                prev_cores = [cores[..., j - i] for i in range(1, p + 1)]
-                new_cores[..., j] = update_core(
-                    projection[..., j], prev_cores, errors, est.alpha, est.beta
-                )
+            new_cores[..., start:] = update_core(
+                projection[..., start:],
+                [cores[..., start - i : n_diff - i] for i in range(1, p + 1)],
+                [e[..., None] for e in errors],
+                est.alpha,
+                est.beta,
+            )
             cores = new_cores
-            if relaxed and mode == n_modes - 1:
+            last = mode == n_modes - 1
+            if relaxed and last:
                 factors[mode], used_ridge = update_factor_relaxed(
                     dx[..., start:], cores[..., start:], factors
                 )
                 ridge_used = ridge_used or used_ridge
+                projectors[mode] = linalg.pinv(factors[mode])
             else:
-                factors[mode] = _factor_basis(
-                    dx[..., start:], cores[..., start:], factors, mode, relaxed
-                )
+                partial = _project_from(partial_prefix, projectors, mode + 1)
+                factors[mode] = _factor_basis(partial, cores[..., start:], mode)
+                projectors[mode] = factors[mode].T
+            prefix = mode_product(prefix, projectors[mode], mode)
+            if not last:
+                partial_prefix = mode_product(partial_prefix, projectors[mode], mode)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
+        # The state a further sweep would start from: projections under the
+        # updated factors.
+        cores = prefix
         delta = sum(
             float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous)
         ) / sum(float(np.sum(f**2)) for f in factors)
@@ -431,9 +406,8 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             converged = True
             break
 
-    # Store the state a further sweep would start from: fresh projections
-    # under the final factors, with coefficients estimated from them.
-    cores = _project_all(dx, factors, relaxed)
+    # Store that state with coefficients estimated from it, so the model is
+    # self-consistent under the final factors.
     est = estimate_coefficients(cores, p, q)
 
     return FittedModel(
@@ -534,8 +508,8 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     window = ds.tails[0] if ds.order else ds.slices[..., -1]
     emb_new = np.concatenate([window[..., 1:], new_slice[..., None]], axis=-1)
     ds2, d_new = push_observed(ds, emb_new)
-    g_new = _project_all(
-        d_new, list(model.factors), model.config.ortho == "relaxed"
+    g_new = multi_mode_product(
+        d_new, _projectors(model.factors, model.config.ortho == "relaxed")
     )
     errors = list(model.errors)
     if errors:

@@ -1,14 +1,15 @@
 """Linear-algebra primitive tests: contracts and known answers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bht_arima
 from bht_arima.errors import SingularSystemError
-from bht_arima.linalg import lstsq, pinv, procrustes, solve_toeplitz, svd
-
-
-def random_orthonormal(rng, rows, cols):
-    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+from bht_arima.linalg import lstsq, pinv, solve_toeplitz, svd
 
 
 def test_svd_identity():
@@ -62,41 +63,6 @@ def test_pinv_involution_well_conditioned():
     assert np.linalg.norm(pinv(pinv(a)) - a) < 1e-7
 
 
-def test_procrustes_identity():
-    assert np.allclose(procrustes(np.eye(3)), np.eye(3))
-
-
-def test_procrustes_rotation_is_fixed_point():
-    theta = 0.7
-    r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    assert np.allclose(procrustes(r), r, atol=1e-12)
-
-
-def test_procrustes_positive_diagonal():
-    assert np.allclose(procrustes(np.diag([2.0, 0.5])), np.eye(2), atol=1e-12)
-
-
-def test_procrustes_orthonormal_columns():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((6, 3))
-    q = procrustes(m)
-    assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-10
-
-
-def test_procrustes_beats_random_candidates():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((6, 3))
-    best = np.trace(procrustes(m).T @ m)
-    for _ in range(100):
-        q = random_orthonormal(rng, 6, 3)
-        assert best >= np.trace(q.T @ m) - 1e-10
-
-
-def test_procrustes_requires_tall_input():
-    with pytest.raises(ValueError):
-        procrustes(np.zeros((2, 3)))
-
-
 def test_solve_toeplitz_scalar_ratio():
     assert np.allclose(solve_toeplitz(np.array([1.0, 0.5])), [0.5])
 
@@ -128,6 +94,41 @@ def test_solve_toeplitz_rejects_bad_gamma():
     # exactly singular system: gamma_k = gamma_0 for all k
     with pytest.raises(SingularSystemError):
         solve_toeplitz(np.array([1.0, 1.0, 1.0]))
+
+
+def _random_autocovariances(rng, p):
+    n = int(rng.integers(p + 3, 60))
+    s = rng.standard_normal(n)
+    if rng.random() < 0.5:
+        s = np.cumsum(s)  # near-unit-root: ill-conditioned Toeplitz systems
+    c = s - s.mean()
+    return np.array([np.dot(c[: n - k], c[k:]) / n for k in range(p + 1)])
+
+
+def test_solve_toeplitz_bit_identical_to_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(8)
+    for p in range(1, 9):
+        for _ in range(150):
+            gamma = _random_autocovariances(rng, p)
+            want = scipy_linalg.solve_toeplitz(gamma[:p], gamma[1:])
+            assert np.array_equal(solve_toeplitz(gamma), want), (p, gamma)
+
+
+@pytest.mark.parametrize("gamma", [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
+def test_solve_toeplitz_zero_pivot_is_singular(gamma):
+    with pytest.raises(SingularSystemError):
+        solve_toeplitz(np.array(gamma))
+
+
+def test_package_import_does_not_load_scipy():
+    code = "import sys, bht_arima, bht_arima.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(bht_arima.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_lstsq_identity():

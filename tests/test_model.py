@@ -11,6 +11,7 @@ import bht_arima.evaluate
 import bht_arima.mdt
 import bht_arima.model
 from bht_arima import linalg
+from bht_arima.coeffs import estimate_coefficients
 from bht_arima.diff import difference, extend, push_observed, reconstruct
 from bht_arima.errors import ConfigError, DataFormatError
 from bht_arima.evaluate import rolling_backtest, synth_dataset
@@ -23,10 +24,9 @@ from bht_arima.model import (
     forecast,
     update_core,
     update_error,
-    update_factor_full,
     update_factor_relaxed,
 )
-from bht_arima.tensor import multi_mode_product, unfold
+from bht_arima.tensor import mode_product, multi_mode_product, unfold
 
 
 def random_orthonormal(rng, rows, cols):
@@ -104,59 +104,24 @@ def test_update_core_matches_scalar_loop_oracle():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
-# --- update_factor_full ----------------------------------------------------
-
-
-def test_factor_full_fixed_point_on_projections():
-    # a Tucker-composed slice whose cores are its exact projections leaves
-    # the aligned factors unchanged
-    rng = np.random.default_rng(2)
-    factors = [random_orthonormal(rng, 4, 2), random_orthonormal(rng, 3, 2)]
-    core = rng.standard_normal((2, 2, 1))
-    xs = multi_mode_product(core, factors)
-    cores = multi_mode_product(xs, factors, transpose=True)
-    for mode in range(2):
-        got = update_factor_full(xs, cores, factors, mode)
-        assert np.linalg.norm(got - factors[mode]) < 1e-10
-
-
-def test_factor_full_single_mode_reduction():
-    # with one mode the Kronecker chain degenerates to the scalar 1
-    rng = np.random.default_rng(3)
-    xs = rng.standard_normal((4, 6))
-    factors = [random_orthonormal(rng, 4, 2)]
-    cores = multi_mode_product(xs, factors, transpose=True)
-    got = update_factor_full(xs, cores, factors, 0)
-    from bht_arima.linalg import procrustes
-
-    expected = procrustes(xs @ cores.T)
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_factor_full_does_not_increase_objective():
-    rng = np.random.default_rng(4)
-    xs = rng.standard_normal((5, 4, 7))
-    factors = [random_orthonormal(rng, 5, 3), random_orthonormal(rng, 4, 2)]
-    cores = rng.standard_normal((3, 2, 7))
-
-    def objective(fs):
-        proj = multi_mode_product(xs, fs, transpose=True)
-        return float(np.sum((cores - proj) ** 2))
-
-    for mode in range(2):
-        before = objective(factors)
-        updated = list(factors)
-        updated[mode] = update_factor_full(xs, cores, factors, mode)
-        assert objective(updated) <= before + 1e-10
-
-
-def test_factor_full_returns_orthonormal():
-    rng = np.random.default_rng(5)
-    xs = rng.standard_normal((5, 4, 6))
-    factors = [random_orthonormal(rng, 5, 2), random_orthonormal(rng, 4, 2)]
-    cores = rng.standard_normal((2, 2, 6))
-    got = update_factor_full(xs, cores, factors, 0)
-    assert np.linalg.norm(got.T @ got - np.eye(2)) < 1e-10
+def test_update_core_stack_equals_per_slice_calls():
+    rng = np.random.default_rng(11)
+    cores = rng.standard_normal((4, 3, 2, 20))
+    proj = rng.standard_normal((4, 3, 2, 20))
+    errs = [rng.standard_normal((4, 3, 2)) for _ in range(2)]
+    alpha = np.array([0.7, -0.2, 0.05])
+    beta = np.array([0.3, -0.1])
+    start, n = 5, cores.shape[-1]
+    got = update_core(
+        proj[..., start:],
+        [cores[..., start - i : n - i] for i in range(1, 4)],
+        [e[..., None] for e in errs],
+        alpha,
+        beta,
+    )
+    for j in range(start, n):
+        want = update_core(proj[..., j], [cores[..., j - i] for i in range(1, 4)], errs, alpha, beta)
+        assert np.array_equal(got[..., j - start], want)
 
 
 # --- update_factor_relaxed -------------------------------------------------
@@ -602,3 +567,135 @@ def test_append_observation_rejects_non_finite_slice():
         append_observation(m, new)
     # the model is untouched and keeps forecasting finite values
     assert np.all(np.isfinite(forecast(m, 3).forecasts))
+
+
+# --- fit: equivalence with the slice-by-slice, fresh-projection sweep ---------
+
+
+def _sweep_projectors(factors, relaxed):
+    mats = [f.T for f in factors]
+    if relaxed:
+        mats[-1] = linalg.pinv(factors[-1])
+    return mats
+
+
+def _sweep_project(t, mats, skip=None):
+    for mode, mat in enumerate(mats):
+        if mode != skip:
+            t = mode_product(t, mat, mode)
+    return t
+
+
+def oracle_fit(x, cfg):
+    """Reference fit: every projection is recomputed from the data at every
+    mode, the factor basis gets its own partial projection, and the core
+    update runs one time step at a time."""
+    p, q = cfg.p, cfg.q
+    embedded = mdt_temporal(x, cfg.tau)
+    emb_shape = embedded.shape[:-1]
+    ranks = cfg.resolved_ranks(emb_shape)
+    dx = difference(embedded, cfg.d).slices
+    n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
+    rng = np.random.default_rng(cfg.seed)
+    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
+    errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
+    relaxed = cfg.ortho == "relaxed"
+    n_constrained = n_modes - 1 if relaxed else n_modes
+    trace, ortho_trace = [], []
+    converged = ridge_used = err_skipped = False
+    for _ in range(cfg.max_iter):
+        cores = _sweep_project(dx, _sweep_projectors(factors, relaxed))
+        est = estimate_coefficients(cores, p, q)
+        previous = [f.copy() for f in factors]
+        for mode in range(n_modes):
+            projection = _sweep_project(dx, _sweep_projectors(factors, relaxed))
+            new_cores = projection.copy()
+            for j in range(start, n_diff):
+                lags = [cores[..., j - i] for i in range(1, p + 1)]
+                new_cores[..., j] = update_core(
+                    projection[..., j], lags, errors, est.alpha, est.beta
+                )
+            cores = new_cores
+            if relaxed and mode == n_modes - 1:
+                factors[mode], used = update_factor_relaxed(
+                    dx[..., start:], cores[..., start:], factors
+                )
+                ridge_used = ridge_used or used
+            else:
+                partial = _sweep_project(
+                    dx[..., start:], _sweep_projectors(factors, relaxed), skip=mode
+                )
+                w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
+                factors[mode] = linalg.svd(w).u
+        for i in range(q):
+            errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
+            err_skipped = err_skipped or skipped
+        delta = sum(
+            float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous)
+        ) / sum(float(np.sum(f**2)) for f in factors)
+        trace.append(delta)
+        ortho_trace.append(max(
+            float(np.linalg.norm(f.T @ f - np.eye(f.shape[1])))
+            for f in factors[:n_constrained]
+        ))
+        if delta < cfg.tol:
+            converged = True
+            break
+    cores = _sweep_project(dx, _sweep_projectors(factors, relaxed))
+    return {
+        "factors": tuple(factors),
+        "cores": cores,
+        "errors": tuple(errors),
+        "coeffs": estimate_coefficients(cores, p, q),
+        "trace": np.array(trace),
+        "ortho_trace": np.array(ortho_trace),
+        "converged": converged,
+        "iterations_used": len(trace),
+        "relaxed_ridge_used": ridge_used,
+        "error_updates_skipped": err_skipped,
+    }
+
+
+FIT_PANELS = {
+    "20x40": BENCH,
+    "12x8x48": synth_dataset("sinusoid-mixture", 96, 48, 0.05, seed=7).reshape(12, 8, 48),
+    "200x120": synth_dataset("sinusoid-mixture", 200, 120, 0.05, seed=3),
+}
+FIT_CASES = [
+    pytest.param(panel, ModelConfig(p=p, d=d, q=q, tau=tau, ortho=ortho),
+                 id=f"{panel}-d{d}-tau{tau}-p{p}q{q}-{ortho}")
+    for panel in FIT_PANELS
+    for d in (0, 1, 2)
+    for tau in (1, 3, 4)
+    for p, q in ((2, 1), (1, 2), (3, 0), (0, 1))
+    for ortho in ("full", "relaxed")
+    if panel != "200x120"
+] + [
+    # Large enough that BLAS blocks its products differently by operand
+    # shape: a partial projection sliced from the full-stack one differs here.
+    pytest.param("200x120", ModelConfig(max_iter=2), id="200x120-full"),
+]
+
+
+@pytest.mark.parametrize("panel, cfg", FIT_CASES)
+def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
+    m = fit(FIT_PANELS[panel], cfg)
+    want = oracle_fit(FIT_PANELS[panel], cfg)
+    for name in ("factors", "errors"):
+        got_arrays, want_arrays = getattr(m, name), want[name]
+        assert len(got_arrays) == len(want_arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(got_arrays, want_arrays)), name
+    for name in ("cores", "trace", "ortho_trace"):
+        assert np.array_equal(getattr(m, name), want[name]), name
+    coeffs = want["coeffs"]
+    assert np.array_equal(m.coeffs.alpha, coeffs.alpha)
+    assert np.array_equal(m.coeffs.beta, coeffs.beta)
+    assert (m.coeffs.ar_fallback, m.coeffs.ma_fallback) == (
+        coeffs.ar_fallback, coeffs.ma_fallback
+    )
+    for name in ("converged", "iterations_used", "relaxed_ridge_used", "error_updates_skipped"):
+        assert getattr(m, name) == want[name], name
+    ref = replace(m, **{k: want[k] for k in ("factors", "cores", "errors", "coeffs")})
+    got_fc, want_fc = forecast(m, 6), forecast(ref, 6)
+    assert np.array_equal(got_fc.forecasts, want_fc.forecasts)
+    assert np.array_equal(got_fc.embedded_forecasts, want_fc.embedded_forecasts)
