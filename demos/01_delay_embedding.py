@@ -9,7 +9,6 @@ reconciles conflicting values by their mean.
 import numpy as np
 
 from bht_arima import inverse_mdt_temporal, mdt_temporal
-from bht_arima.mdt import duplication_matrix
 
 series = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
 tau = 3
@@ -23,7 +22,9 @@ print(embedded[0])
 print("\nanti-diagonals are constant: h[i, j] == h[i-1, j+1]")
 print("check:", np.array_equal(embedded[0, 1:, :-1], embedded[0, :-1, 1:]))
 
-s = duplication_matrix(tau, series.shape[-1])
+# The transform is linear, so embedding the identity yields its matrix.
+length = series.shape[-1]
+s = mdt_temporal(np.eye(length), tau).reshape(length, -1, order="F").T
 print(f"\nthe implicit duplication matrix has shape {s.shape};")
 print("its Gram diagonal counts how many windows cover each position:")
 print(np.diag(s.T @ s))

@@ -9,7 +9,6 @@ import numpy as np
 
 from bht_arima import (
     fold,
-    kron_chain_skip,
     mdt_temporal,
     mode_product,
     multi_mode_product,
@@ -27,7 +26,7 @@ core = rng.standard_normal((2, 3, 2))
 factors = [rng.standard_normal((j, r)) for j, r in zip((4, 5, 3), core.shape)]
 x = multi_mode_product(core, factors)
 lhs = unfold(x, 1)
-rhs = factors[1] @ unfold(core, 1) @ kron_chain_skip(factors, 1).T
+rhs = factors[1] @ unfold(core, 1) @ np.kron(factors[2], factors[0]).T
 print("\nKronecker-chain unfolding identity holds:", np.allclose(lhs, rhs))
 
 # compress a correlated panel: the embedded slices concentrate in few modes

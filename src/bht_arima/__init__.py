@@ -6,8 +6,7 @@ fits a tensor-form ARIMA on the core sequence, and maps predictions back
 through the inverse transforms.
 """
 
-from .coeffs import ArimaCoefficients, autocovariance, estimate_ar, estimate_ma
-from .diff import DifferencedSeries, difference, invert_last, reconstruct
+from .coeffs import ArimaCoefficients
 from .errors import (
     BhtArimaError,
     ConfigError,
@@ -16,7 +15,7 @@ from .errors import (
     SingularSystemError,
 )
 from .evaluate import EvalReport, naive_last_value, nrmse, rolling_backtest, synth_dataset
-from .mdt import inverse_mdt_temporal, mdt_general, mdt_temporal
+from .mdt import inverse_mdt_temporal, mdt_temporal
 from .model import (
     FittedModel,
     ForecastResult,
@@ -25,15 +24,7 @@ from .model import (
     fit,
     forecast,
 )
-from .tensor import (
-    fold,
-    frobenius_norm,
-    inner,
-    kron_chain_skip,
-    mode_product,
-    multi_mode_product,
-    unfold,
-)
+from .tensor import fold, mode_product, multi_mode_product, unfold
 
 __version__ = "0.1.0"
 
@@ -42,7 +33,6 @@ __all__ = [
     "BhtArimaError",
     "ConfigError",
     "DataFormatError",
-    "DifferencedSeries",
     "EvalReport",
     "FittedModel",
     "ForecastResult",
@@ -50,25 +40,15 @@ __all__ = [
     "NumericalError",
     "SingularSystemError",
     "append_observation",
-    "autocovariance",
-    "difference",
-    "estimate_ar",
-    "estimate_ma",
     "fit",
     "fold",
     "forecast",
-    "frobenius_norm",
-    "inner",
-    "invert_last",
     "inverse_mdt_temporal",
-    "kron_chain_skip",
-    "mdt_general",
     "mdt_temporal",
     "mode_product",
     "multi_mode_product",
     "naive_last_value",
     "nrmse",
-    "reconstruct",
     "rolling_backtest",
     "synth_dataset",
     "unfold",

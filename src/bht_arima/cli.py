@@ -26,7 +26,6 @@ from .tensor import read_flat_tensor, write_flat_tensor
 
 __all__ = [
     "parse_csv",
-    "parse_flat_tensor",
     "load_dataset",
     "RunSpec",
     "run",
@@ -86,17 +85,12 @@ def parse_csv(path: str) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
-def parse_flat_tensor(path: str) -> np.ndarray:
-    """Parse the flat tensor text format (see :mod:`bht_arima.tensor`)."""
-    return read_flat_tensor(path)
-
-
 def load_dataset(path: str, fmt: str) -> np.ndarray:
     """Load a CSV or flat tensor file, rejecting NaN and inf values."""
     if fmt == "csv":
         data = parse_csv(path)
     elif fmt == "flat":
-        data = parse_flat_tensor(path)
+        data = read_flat_tensor(path)
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}")
     _require_finite(data, path)
@@ -114,7 +108,6 @@ class RunSpec:
     horizon: int = 1
     train_fraction: float = 0.9
     refit: bool = True
-    jobs: int = 1
     forecast_out: str | None = None
     summary_out: str | None = None
     report_out: str | None = None
@@ -125,12 +118,19 @@ class RunSpec:
     synth_out: str | None = None
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, content: str | np.ndarray) -> None:
+    """Write ``content`` (text, or an array in the flat tensor format) to a
+    temporary file beside ``path`` and rename it into place; on failure the
+    temporary file is removed and ``path`` is left untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        else:
+            write_flat_tensor(tmp, content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,16 +145,9 @@ def _csv_text(matrix: np.ndarray, digits: str = ".9g") -> str:
 
 def _forecast_files(spec: RunSpec, model: FittedModel, forecasts: np.ndarray) -> None:
     out_path = spec.forecast_out or _default_out(spec.dataset_path, "forecast.csv")
-    if forecasts.ndim == 2:
-        _atomic_write(out_path, _csv_text(forecasts))
-    else:
-        # Higher-order slices: one flat tensor holding (slice shape, horizon).
-        tmp_fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(out_path)), prefix=".tmp-"
-        )
-        os.close(tmp_fd)
-        write_flat_tensor(tmp, forecasts)
-        os.replace(tmp, out_path)
+    # Higher-order slices: one flat tensor holding (slice shape, horizon).
+    content = _csv_text(forecasts) if forecasts.ndim == 2 else forecasts
+    _atomic_write(out_path, content)
     summary_path = spec.summary_out or _default_out(spec.dataset_path, "summary.txt")
     _atomic_write(summary_path, _summary_text(spec, model))
     print(f"forecast written to {out_path}")
@@ -229,7 +222,6 @@ def run(spec: RunSpec) -> int:
             train_fraction=spec.train_fraction,
             horizon=spec.horizon,
             refit=spec.refit,
-            jobs=spec.jobs,
         )
         out = spec.report_out or _default_out(spec.dataset_path, "report.txt")
         _atomic_write(out, report.to_text())
@@ -298,10 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-refit", action="store_true",
         help="advance one fitted model over the test region instead of refitting",
     )
-    bt.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers for the independent per-step refits",
-    )
     bt.add_argument("--report-out", default=None)
     _add_model_flags(bt)
 
@@ -337,15 +325,12 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         horizon=args.horizon,
         train_fraction=getattr(args, "train_fraction", 0.9),
         refit=not getattr(args, "no_refit", False),
-        jobs=getattr(args, "jobs", 1),
         forecast_out=getattr(args, "forecast_out", None),
         summary_out=getattr(args, "summary_out", None),
         report_out=getattr(args, "report_out", None),
     )
     if spec.horizon < 1:
         raise ConfigError(f"--horizon must be >= 1, got {spec.horizon}")
-    if spec.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {spec.jobs}")
     return spec
 
 

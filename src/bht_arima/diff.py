@@ -16,7 +16,6 @@ __all__ = [
     "DifferencedSeries",
     "difference",
     "reconstruct",
-    "invert_last",
     "extend",
     "push_observed",
 ]
@@ -82,20 +81,6 @@ def _integrate(
         value = tails[k] + value
         new_tails[k] = value
     return tuple(new_tails), value
-
-
-def invert_last(ds: DifferencedSeries, predicted: np.ndarray) -> np.ndarray:
-    """Integrate one predicted order-d difference back to the original scale.
-
-    Uses the stored tail value at each level; equivalent to appending
-    ``predicted`` at level d and cumulatively summing upward.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    if predicted.shape != ds.slice_shape:
-        raise ValueError(
-            f"predicted slice shape {predicted.shape} != {ds.slice_shape}"
-        )
-    return _integrate(ds.tails, predicted)[1]
 
 
 def extend(ds: DifferencedSeries, predicted: np.ndarray) -> tuple[DifferencedSeries, np.ndarray]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,33 +88,6 @@ def _fmt_ranks(ranks: tuple[int, ...] | None) -> str:
     return "auto" if ranks is None else ",".join(str(r) for r in ranks)
 
 
-def parse_report(text: str) -> dict:
-    """Parse the key-value report format back into a dict (values typed)."""
-    out: dict = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "per_step_nrmse":
-            out[key] = np.array([float(v) for v in value.split(",")])
-        elif key == "ranks":
-            out[key] = (
-                None if value == "auto" else tuple(int(v) for v in value.split(","))
-            )
-        elif key in ("protocol", "ortho"):
-            out[key] = value
-        elif key == "refit":
-            out[key] = value == "true"
-        elif key in ("horizon", "n_train", "n_test", "p", "d", "q", "tau",
-                     "max_iter", "seed"):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
-
-
 def nrmse(forecast: np.ndarray, actual: np.ndarray) -> float:
     """Frobenius-relative forecast error; undefined for a zero-norm actual."""
     forecast = np.asarray(forecast, dtype=np.float64)
@@ -139,21 +111,14 @@ def naive_last_value(x: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _one_step_forecasts_refit(
-    x: np.ndarray, cfg: ModelConfig, test_start: int, jobs: int
+    x: np.ndarray, cfg: ModelConfig, test_start: int
 ) -> tuple[list[np.ndarray], list[bool]]:
-    t_len = x.shape[-1]
-
-    def run(k: int) -> tuple[np.ndarray, bool]:
+    preds, conv = [], []
+    for k in range(test_start, x.shape[-1]):
         m = fit(x[..., :k], cfg)
-        return forecast(m, 1).forecasts[..., 0], m.converged
-
-    indices = list(range(test_start, t_len))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, indices))
-    else:
-        results = [run(k) for k in indices]
-    return [r[0] for r in results], [r[1] for r in results]
+        preds.append(forecast(m, 1).forecasts[..., 0])
+        conv.append(m.converged)
+    return preds, conv
 
 
 def _one_step_forecasts_rolling(
@@ -173,7 +138,6 @@ def rolling_backtest(
     train_fraction: float,
     horizon: int = 1,
     refit: bool = True,
-    jobs: int = 1,
 ) -> EvalReport:
     """Fit on a training prefix and score forecasts over the test region.
 
@@ -181,8 +145,7 @@ def rolling_backtest(
     observations are appended between steps, and the model is refit at every
     step unless ``refit=False`` (then a single fitted model advances without
     refitting). With ``horizon > 1``, one model is fit on the prefix and
-    forecasts the next ``horizon`` slices recursively. ``jobs`` parallelizes
-    the independent per-step refits only.
+    forecasts the next ``horizon`` slices recursively.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 < train_fraction < 1.0:
@@ -197,7 +160,7 @@ def rolling_backtest(
     began = time.perf_counter()
     if horizon == 1:
         if refit:
-            preds, conv = _one_step_forecasts_refit(x, cfg, n_train, jobs)
+            preds, conv = _one_step_forecasts_refit(x, cfg, n_train)
         else:
             preds, conv = _one_step_forecasts_rolling(x, cfg, n_train)
         actuals = [x[..., k] for k in range(n_train, t_len)]

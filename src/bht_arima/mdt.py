@@ -1,4 +1,4 @@
-"""Multi-way delay embedding: Hankelization of tensors and its inverse.
+"""Temporal delay embedding: Hankelization of the time axis and its inverse.
 
 The forward transform turns a length-``T`` axis into a ``(tau, T - tau + 1)``
 pair of axes whose second index enumerates overlapping windows; the inverse
@@ -6,9 +6,8 @@ averages every embedded entry that maps to the same source position, which is
 exactly the Moore-Penrose inverse of the implicit 0/1 duplication matrix
 (its Gram matrix is diagonal, holding the per-position window counts).
 
-The duplication matrix is never built densely by the transforms; forward MDT
-is sliding-window copying, inverse MDT is anti-diagonal averaging. A dense
-reference constructor is provided for inspection and testing.
+The duplication matrix is never built densely: forward MDT is sliding-window
+copying, inverse MDT is anti-diagonal averaging.
 """
 
 from __future__ import annotations
@@ -16,33 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "duplication_matrix",
     "mdt_temporal",
     "inverse_mdt_temporal",
-    "mdt_general",
 ]
 
 
 def _check_tau(tau: int, length: int) -> None:
     if not 1 <= tau <= length:
         raise ValueError(f"window length tau={tau} must satisfy 1 <= tau <= {length}")
-
-
-def duplication_matrix(tau: int, length: int) -> np.ndarray:
-    """Dense 0/1 duplication matrix of shape ``(tau * (length - tau + 1), length)``.
-
-    Applying it to a length-``length`` vector and reshaping the result to
-    ``(tau, length - tau + 1)`` in first-index-fastest order yields the Hankel
-    matrix of overlapping windows. Reference implementation only; the
-    transforms below never materialize it.
-    """
-    _check_tau(tau, length)
-    n_win = length - tau + 1
-    s = np.zeros((tau * n_win, length))
-    for j in range(n_win):
-        for i in range(tau):
-            s[j * tau + i, j + i] = 1.0
-    return s
 
 
 def mdt_temporal(x: np.ndarray, tau: int) -> np.ndarray:
@@ -85,28 +65,3 @@ def inverse_mdt_temporal(h: np.ndarray, tau: int) -> np.ndarray:
         counts[i : i + n_win] += 1.0
     return acc / counts
 
-
-def mdt_general(x: np.ndarray, taus: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Delay-embed every mode of ``x``, doubling the tensor order.
-
-    Mode ``n`` of extent ``I_n`` becomes the axis pair
-    ``(taus[n], I_n - taus[n] + 1)``, kept in place, so the result shape
-    interleaves window and position axes:
-    ``(tau_1, I_1 - tau_1 + 1, tau_2, I_2 - tau_2 + 1, ...)``.
-
-    Provided for completeness; the forecasting pipeline embeds only the
-    temporal mode via :func:`mdt_temporal`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    taus = tuple(int(t) for t in taus)
-    if len(taus) != x.ndim:
-        raise ValueError(f"need one tau per mode: got {len(taus)} for order {x.ndim}")
-    for tau, extent in zip(taus, x.shape):
-        _check_tau(tau, extent)
-    out = x
-    # Process modes last-to-first so earlier axis numbers stay valid.
-    for mode in range(x.ndim - 1, -1, -1):
-        out = np.moveaxis(out, mode, -1)
-        out = mdt_temporal(out, taus[mode])
-        out = np.moveaxis(out, (-2, -1), (mode, mode + 1))
-    return out

@@ -27,7 +27,7 @@ from .coeffs import ArimaCoefficients, estimate_coefficients
 from .diff import DifferencedSeries, _integrate, difference, push_observed
 from .errors import ConfigError, DataFormatError
 from .mdt import mdt_temporal
-from .tensor import mode_product, multi_mode_product
+from .tensor import mode_product, multi_mode_product, unfold
 
 __all__ = [
     "ModelConfig",
@@ -183,13 +183,6 @@ def update_core(
     return 0.5 * acc
 
 
-def _stack_unfold(seq: np.ndarray, mode: int) -> np.ndarray:
-    # Unfold every slice of a (*shape, n_t) stack along `mode` and
-    # concatenate columns across t (column order is irrelevant to the sums
-    # below as long as both operands use the same one).
-    return np.reshape(np.moveaxis(seq, mode, 0), (seq.shape[mode], -1), order="F")
-
-
 def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
     of the alignment matrix ``sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
@@ -200,7 +193,9 @@ def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarr
     let the autoregressive terms spin the factors by a constant angle every
     sweep, so the relative-factor-change stopping rule would never fire.
     """
-    w = _stack_unfold(partial, mode) @ _stack_unfold(cores, mode).T
+    # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
+    # so one product sums over t.
+    w = unfold(partial, mode) @ unfold(cores, mode).T
     return linalg.svd(w).u
 
 
@@ -222,8 +217,8 @@ def update_factor_relaxed(
         raise ValueError("relaxed update needs at least two embedded modes")
     mats = [linalg.pinv(f.T).T for f in factors[:last]] + [factors[last]]
     a_stack = multi_mode_product(xs, mats, skip=last)
-    am = _stack_unfold(a_stack, last)
-    gm = _stack_unfold(cores, last)
+    am = unfold(a_stack, last)
+    gm = unfold(cores, last)
     gram = am @ am.T
     rhs = am @ gm.T
     ridge_used = False

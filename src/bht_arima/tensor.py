@@ -1,20 +1,19 @@
-"""Dense tensor operations: unfolding, folding, mode products, Kronecker chains.
+"""Dense tensor operations: unfolding, folding, mode products, flat text I/O.
 
 Tensors are plain ``numpy.ndarray`` values of ``float64``. The canonical flat
 layout everywhere in this package is first-index-fastest (Fortran order), and
 mode-n unfolding follows the matching convention: row index is ``i_n``, and
 the column index runs over the remaining indices with the earliest one varying
 fastest. Under this convention the unfolding of a multilinear product
-``G x_1 U1 ... x_M UM`` along mode ``n`` equals
-``Un @ unfold(G, n) @ kron_chain_skip(factors, n).T``.
+``G x_1 U1 ... x_M UM`` along mode ``n`` equals ``Un @ unfold(G, n) @ K.T``,
+where ``K`` is the Kronecker product of the other factors in descending mode
+order, ``UM (x) ... (x) U(n+1) (x) U(n-1) (x) ... (x) U1``.
 
 Modes are 0-based, matching numpy axis numbering. All functions are pure:
 inputs are never mutated.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "fold",
     "mode_product",
     "multi_mode_product",
-    "kron_chain_skip",
-    "inner",
     "frobenius_norm",
     "read_flat_tensor",
     "write_flat_tensor",
@@ -84,47 +81,19 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 def multi_mode_product(
     t: np.ndarray,
     mats: list[np.ndarray] | tuple[np.ndarray, ...],
-    transpose: bool = False,
     skip: int | None = None,
 ) -> np.ndarray:
     """Apply one matrix per leading mode of ``t`` (trailing modes untouched).
 
-    With ``transpose=True`` each matrix is applied transposed, which projects
-    a tensor onto factor columns. ``skip`` leaves one mode alone. Modes beyond
-    ``len(mats)`` (for example a trailing sequence axis) are left as-is.
+    ``skip`` leaves one mode alone. Modes beyond ``len(mats)`` (for example a
+    trailing sequence axis) are left as-is.
     """
     out = np.asarray(t)
     for mode, m in enumerate(mats):
         if mode == skip:
             continue
-        out = mode_product(out, m.T if transpose else m, mode)
+        out = mode_product(out, m, mode)
     return out
-
-
-def kron_chain_skip(
-    mats: list[np.ndarray] | tuple[np.ndarray, ...], skip: int
-) -> np.ndarray:
-    """Kronecker product of ``mats`` in descending index order, omitting ``skip``.
-
-    For factor matrices ``U_0..U_{M-1}`` this builds
-    ``U_{M-1} (x) ... (x) U_{skip+1} (x) U_{skip-1} (x) ... (x) U_0``,
-    the chain that multiplies a mode-``skip`` unfolding from the right.
-    """
-    if not 0 <= skip < len(mats):
-        raise ValueError(f"skip index {skip} out of range for {len(mats)} matrices")
-    chain = [np.asarray(mats[i]) for i in range(len(mats) - 1, -1, -1) if i != skip]
-    if not chain:
-        raise ValueError("no matrices left after skipping; chain would be empty")
-    return reduce(np.kron, chain)
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Elementwise-product sum of two identically shaped tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch for inner product: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
 
 
 def frobenius_norm(t: np.ndarray) -> float:

@@ -54,12 +54,12 @@ def test_parse_csv_header_only(tmp_path):
         cli.parse_csv(p)
 
 
-# --- parse_flat_tensor -----------------------------------------------------
+# --- flat tensor datasets ---------------------------------------------------
 
 
 def test_parse_flat_tensor_2x2(tmp_path):
     p = write(tmp_path / "t.txt", "2 2\n1 2 3 4\n")
-    got = cli.parse_flat_tensor(p)
+    got = cli.load_dataset(p, "flat")
     assert got.shape == (2, 2)
     assert np.array_equal(got.flatten(order="F"), [1.0, 2.0, 3.0, 4.0])
 
@@ -67,14 +67,14 @@ def test_parse_flat_tensor_2x2(tmp_path):
 def test_parse_flat_tensor_3d(tmp_path):
     values = " ".join(str(v) for v in range(24))
     p = write(tmp_path / "t.txt", f"2 3 4\n{values}\n")
-    assert cli.parse_flat_tensor(p).shape == (2, 3, 4)
+    assert cli.load_dataset(p, "flat").shape == (2, 3, 4)
 
 
 def test_parse_flat_tensor_count_mismatch(tmp_path):
     values = " ".join(str(v) for v in range(23))
     p = write(tmp_path / "t.txt", f"2 3 4\n{values}\n")
     with pytest.raises(DataFormatError, match="expected 24"):
-        cli.parse_flat_tensor(p)
+        cli.load_dataset(p, "flat")
 
 
 def test_csv_roundtrip(tmp_path):
@@ -212,8 +212,33 @@ def test_order3_forecast_written_as_flat_tensor(tmp_path):
          "--forecast-out", fc, "--summary-out", str(tmp_path / "s.txt")]
     )
     assert code == 0
-    forecasts = cli.parse_flat_tensor(fc)
+    forecasts = cli.load_dataset(fc, "flat")
     assert forecasts.shape == (3, 4, 2)
+
+
+def test_failed_flat_forecast_write_leaves_no_trace(tmp_path, monkeypatch):
+    from bht_arima.tensor import write_flat_tensor
+
+    rng = np.random.default_rng(2)
+    base = np.sin(np.arange(30.0) / 3.0)
+    path = str(tmp_path / "cube.txt")
+    write_flat_tensor(path, rng.uniform(0.5, 1.5, (3, 4))[..., None] * base)
+    fc = tmp_path / "fc.txt"
+    fc.write_text("previous forecast\n")
+
+    def failing_write(target, t):
+        with open(target, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_flat_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(
+            ["fit-forecast", path, "--format", "flat", "--forecast-out", str(fc),
+             "--summary-out", str(tmp_path / "s.txt")]
+        )
+    assert fc.read_text() == "previous forecast\n"
+    assert not list(tmp_path.glob(".tmp-*"))
 
 
 # --- non-finite input --------------------------------------------------------

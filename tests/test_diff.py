@@ -6,7 +6,6 @@ import pytest
 from bht_arima.diff import (
     difference,
     extend,
-    invert_last,
     push_observed,
     reconstruct,
 )
@@ -62,27 +61,6 @@ def test_too_short_sequence():
         difference(np.zeros((2, 3)), 3)
     with pytest.raises(ValueError):
         difference(np.zeros((2, 3)), -1)
-
-
-def test_invert_last_order_zero():
-    ds = difference(np.array([1.0, 2.0]), 0)
-    assert invert_last(ds, np.array(7.0)) == 7.0
-
-
-def test_invert_last_first_order():
-    ds = difference(np.array([5.0, 7.0, 4.0]), 1)
-    assert invert_last(ds, np.array(3.0)) == 7.0
-
-
-def test_invert_last_second_order_continues_squares():
-    ds = difference(np.array([1.0, 4.0, 9.0, 16.0]), 2)
-    assert invert_last(ds, np.array(2.0)) == 25.0
-
-
-def test_invert_last_shape_mismatch():
-    ds = difference(np.zeros((2, 5)), 1)
-    with pytest.raises(ValueError):
-        invert_last(ds, np.zeros(3))
 
 
 def test_extend_chains():

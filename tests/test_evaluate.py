@@ -9,7 +9,6 @@ from bht_arima.evaluate import (
     EvalReport,
     naive_last_value,
     nrmse,
-    parse_report,
     rolling_backtest,
     synth_dataset,
 )
@@ -155,14 +154,6 @@ def test_rolling_backtest_no_refit_path():
     assert not r1.refit
 
 
-def test_rolling_backtest_jobs_deterministic():
-    x = synth_dataset("sinusoid-mixture", 6, 40, 0.05, seed=3)
-    cfg = ModelConfig(p=2, d=1, q=1, tau=3, ranks=(6, 3), max_iter=10, seed=0)
-    serial = rolling_backtest(x, cfg, train_fraction=0.9, horizon=1, jobs=1)
-    parallel = rolling_backtest(x, cfg, train_fraction=0.9, horizon=1, jobs=3)
-    assert serial.to_text() == parallel.to_text()
-
-
 def test_report_roundtrip_carries_config():
     x = synth_dataset("sinusoid-mixture", 6, 40, 0.05, seed=3)
     cfg = ModelConfig(
@@ -170,16 +161,17 @@ def test_report_roundtrip_carries_config():
         ortho="relaxed", seed=11,
     )
     report = rolling_backtest(x, cfg, train_fraction=0.8, horizon=1)
-    parsed = parse_report(report.to_text())
-    assert parsed["p"] == cfg.p and parsed["d"] == cfg.d and parsed["q"] == cfg.q
-    assert parsed["tau"] == cfg.tau
-    assert parsed["ranks"] == cfg.ranks
-    assert parsed["max_iter"] == cfg.max_iter
-    assert parsed["tol"] == cfg.tol
+    parsed = {}
+    for line in report.to_text().splitlines():
+        key, value = line.split(" = ")
+        parsed[key] = value
+    for key in ("p", "d", "q", "tau", "max_iter", "seed"):
+        assert int(parsed[key]) == getattr(cfg, key)
+    assert tuple(int(r) for r in parsed["ranks"].split(",")) == cfg.ranks
+    assert float(parsed["tol"]) == cfg.tol
     assert parsed["ortho"] == cfg.ortho
-    assert parsed["seed"] == cfg.seed
-    assert parsed["train_fraction"] == 0.8
-    assert parsed["nrmse"] == pytest.approx(report.nrmse, rel=1e-8)
+    assert float(parsed["train_fraction"]) == 0.8
+    assert float(parsed["nrmse"]) == pytest.approx(report.nrmse, rel=1e-8)
 
 
 def test_report_text_excludes_runtime():

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from bht_arima.mdt import (
-    duplication_matrix,
-    inverse_mdt_temporal,
-    mdt_general,
-    mdt_temporal,
-)
+from bht_arima.mdt import inverse_mdt_temporal, mdt_temporal
 
 
 def dense_s_oracle(tau, length):
@@ -87,19 +82,6 @@ def test_shape_law():
         assert h.shape[-1] + tau - 1 == 11
 
 
-def test_duplication_matrix_invariants():
-    for tau, length in [(1, 4), (2, 5), (3, 7)]:
-        s = duplication_matrix(tau, length)
-        assert np.array_equal(s, dense_s_oracle(tau, length))
-        assert np.all(s.sum(axis=1) == 1.0)
-        gram = s.T @ s
-        assert np.allclose(gram, np.diag(np.diag(gram)))
-        counts = np.diag(gram)
-        n_win = length - tau + 1
-        expected_counts = [min(t + 1, tau, n_win, length - t) for t in range(length)]
-        assert np.array_equal(counts, expected_counts)
-
-
 def test_forward_matches_duplication_oracle():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(7)
@@ -139,37 +121,3 @@ def test_inverse_shape_check():
     with pytest.raises(ValueError):
         inverse_mdt_temporal(np.zeros((2, 3, 4)), 2)
 
-
-def test_general_all_ones_interleaves_singletons():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 4))
-    h = mdt_general(x, (1, 1))
-    assert h.shape == (1, 3, 1, 4)
-    assert np.array_equal(h[0, :, 0, :], x)
-
-
-def test_general_consistent_with_temporal():
-    x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-    general = mdt_general(x, (1, 2))
-    temporal = mdt_temporal(x, 2)
-    assert general.shape == (1, 1, 2, 4)
-    assert np.array_equal(general[:, 0], temporal)
-
-
-def test_general_hankel_structure_both_modes():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((3, 4))
-    h = mdt_general(x, (2, 2))
-    assert h.shape == (2, 2, 2, 3)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(3):
-                    assert h[i, j, k, l] == x[i + j, k + l]
-
-
-def test_general_tau_validation():
-    with pytest.raises(ValueError):
-        mdt_general(np.zeros((3, 4)), (4, 2))
-    with pytest.raises(ValueError):
-        mdt_general(np.zeros((3, 4)), (2,))

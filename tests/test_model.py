@@ -131,7 +131,7 @@ def test_factor_relaxed_fixed_point():
     rng = np.random.default_rng(6)
     xs = rng.standard_normal((4, 3, 9))
     factors = [random_orthonormal(rng, 4, 2), random_orthonormal(rng, 3, 2)]
-    cores = multi_mode_product(xs, factors, transpose=True)
+    cores = multi_mode_product(xs, [f.T for f in factors])
     got, ridge = update_factor_relaxed(xs, cores, factors)
     assert not ridge
     assert np.linalg.norm(got - factors[1]) < 1e-8

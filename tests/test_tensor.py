@@ -1,13 +1,13 @@
 """Tensor operation tests: index conventions, roundtrips, oracle checks."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from bht_arima.tensor import (
     fold,
     frobenius_norm,
-    inner,
-    kron_chain_skip,
     mode_product,
     multi_mode_product,
     read_flat_tensor,
@@ -157,32 +157,6 @@ def kron_oracle(a, b):
     return out
 
 
-def test_kron_chain_skip_identities():
-    ones = [np.eye(1)] * 3
-    assert np.array_equal(kron_chain_skip(ones, 1), np.eye(1))
-
-
-def test_kron_chain_skip_single_survivor():
-    u = np.random.default_rng(8).standard_normal((3, 2))
-    assert np.array_equal(kron_chain_skip([u, np.eye(4)], 1), u)
-
-
-def test_kron_chain_skip_matches_definition():
-    rng = np.random.default_rng(9)
-    mats = [rng.standard_normal((2, 2)) for _ in range(3)]
-    got = kron_chain_skip(mats, 1)
-    assert np.allclose(got, kron_oracle(mats[2], mats[0]), atol=1e-12)
-    got_all = kron_chain_skip(mats + [rng.standard_normal((2, 2))], 3)
-    assert np.allclose(
-        got_all, kron_oracle(mats[2], kron_oracle(mats[1], mats[0])), atol=1e-12
-    )
-
-
-def test_kron_chain_skip_empty_raises():
-    with pytest.raises(ValueError):
-        kron_chain_skip([np.eye(2)], 0)
-
-
 def test_tucker_unfolding_identity():
     # unfold_n(G x_0 U0 ... x_{M-1} U_{M-1}) == U_n @ G^(n) @ chain.T
     rng = np.random.default_rng(10)
@@ -191,7 +165,8 @@ def test_tucker_unfolding_identity():
     x = multi_mode_product(g, factors)
     for mode in range(3):
         lhs = unfold(x, mode)
-        rhs = factors[mode] @ unfold(g, mode) @ kron_chain_skip(factors, mode).T
+        chain = reduce(kron_oracle, [factors[i] for i in (2, 1, 0) if i != mode])
+        rhs = factors[mode] @ unfold(g, mode) @ chain.T
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -199,9 +174,7 @@ def test_inner_and_frobenius():
     assert frobenius_norm(np.zeros((2, 3))) == 0.0
     assert np.isclose(frobenius_norm(np.ones((2, 3))), np.sqrt(6.0))
     t = np.random.default_rng(11).standard_normal((3, 4))
-    assert abs(inner(t, t) - frobenius_norm(t) ** 2) < 1e-12
-    with pytest.raises(ValueError):
-        inner(np.zeros((2, 2)), np.zeros((2, 3)))
+    assert abs(np.sum(t * t) - frobenius_norm(t) ** 2) < 1e-12
 
 
 def test_flat_tensor_roundtrip(tmp_path):
