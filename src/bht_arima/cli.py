@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -121,20 +122,25 @@ class RunSpec:
 def _atomic_write(path: str, content: str | np.ndarray) -> None:
     """Write ``content`` (text, or an array in the flat tensor format) to a
     temporary file beside ``path`` and rename it into place; on failure the
-    temporary file is removed and ``path`` is left untouched."""
+    temporary file is removed and ``path`` is left untouched. An error from
+    the operating system is raised again naming ``path``, not the temporary
+    file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        os.close(fd)
         if isinstance(content, str):
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(content)
         else:
             write_flat_tensor(tmp, content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -308,6 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     if args.command == "synth":
+        for flag, value in (("--n-series", args.n_series), ("--length", args.length)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if not 0 <= args.noise < math.inf:
+            raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
         return RunSpec(
             command="synth",
             model=ModelConfig(seed=args.seed),
@@ -351,7 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # Only errors raised by the operating system (they carry an errno)
+        # are input problems: a missing file, a directory, a bad out path.
+        if exc.errno is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BhtArimaError as exc:

@@ -4,6 +4,9 @@ Sequences are arrays whose last axis indexes time. Differencing retains the
 first slice at every level (``heads``) so the whole input can be rebuilt
 bit-for-bit, and the last slice at every level (``tails``) so newly predicted
 differences can be integrated back to the original scale one step at a time.
+The streaming steps ``_integrate`` and ``_difference_step`` read and return
+tails only; ``extend`` and ``push_observed`` wrap them to keep full
+histories.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ class DifferencedSeries:
     ``slices`` holds the level-``order`` differences (last axis = time, length
     ``L - order``). ``heads[k]`` / ``tails[k]`` are the first / last slice of
     the level-``k`` sequence for ``k = 0..order-1``.
+
+    A streaming state (from ``model.append_observation``) is bounded: it
+    keeps the tails, only the newest difference as ``slices[..., -1:]``, and
+    ``heads=()``. It can be advanced but not rebuilt by :func:`reconstruct`.
     """
 
     order: int
@@ -62,7 +69,16 @@ def difference(s: np.ndarray, d: int) -> DifferencedSeries:
 
 
 def reconstruct(ds: DifferencedSeries) -> np.ndarray:
-    """Rebuild the original sequence exactly from differences and heads."""
+    """Rebuild the original sequence exactly from differences and heads.
+
+    Raises ``ValueError`` for a state without one head per level, such as a
+    bounded streaming state, whose full history is gone.
+    """
+    if len(ds.heads) != ds.order:
+        raise ValueError(
+            f"cannot rebuild an order-{ds.order} history from {len(ds.heads)} "
+            "heads (a streaming state keeps no heads)"
+        )
     level = ds.slices
     for head in reversed(ds.heads):
         level = np.concatenate(
@@ -101,23 +117,32 @@ def extend(ds: DifferencedSeries, predicted: np.ndarray) -> tuple[DifferencedSer
     )
 
 
-def push_observed(ds: DifferencedSeries, observed: np.ndarray) -> tuple[DifferencedSeries, np.ndarray]:
-    """Append an observed original-scale slice; return the new state and the
-    induced order-d difference."""
-    value = np.asarray(observed, dtype=np.float64)
-    if value.shape != ds.slice_shape:
-        raise ValueError(f"observed slice shape {value.shape} != {ds.slice_shape}")
-    new_tails = list(ds.tails)
-    for k in range(ds.order):
-        prev_tail = ds.tails[k]
+def _difference_step(
+    tails: tuple[np.ndarray, ...], observed: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Difference ``observed`` against each tail from level 0 up to level
+    d-1; return the new tails and the induced order-d difference."""
+    new_tails = list(tails)
+    value = observed
+    for k in range(len(tails)):
         new_tails[k] = value
-        value = value - prev_tail
+        value = value - tails[k]
+    return tuple(new_tails), value
+
+
+def push_observed(ds: DifferencedSeries, observed: np.ndarray) -> tuple[DifferencedSeries, np.ndarray]:
+    """Append an observed original-scale slice; return the new state, which
+    keeps the whole difference history, and the induced order-d difference."""
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.shape != ds.slice_shape:
+        raise ValueError(f"observed slice shape {observed.shape} != {ds.slice_shape}")
+    new_tails, value = _difference_step(ds.tails, observed)
     return (
         DifferencedSeries(
             order=ds.order,
             slices=np.concatenate([ds.slices, value[..., None]], axis=-1),
             heads=ds.heads,
-            tails=tuple(new_tails),
+            tails=new_tails,
         ),
         value,
     )

@@ -10,7 +10,9 @@ through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
 ``forecast`` and ``append_observation`` read only the last ``p`` cores, the
 ``q`` error tensors, the ``d`` differencing tails and the last embedded
-window, so a streaming step costs the same whatever the history length.
+window, and ``append_observation`` returns a model holding only that bounded
+state, so a streaming step costs the same whatever the history length. Only
+``fit`` returns the full core and difference histories.
 
 Everything is deterministic given the input, the configuration, and the seed.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .coeffs import ArimaCoefficients, estimate_coefficients
-from .diff import DifferencedSeries, _integrate, difference, push_observed
+from .diff import DifferencedSeries, _difference_step, _integrate, difference
 from .errors import ConfigError, DataFormatError
 from .mdt import mdt_temporal
 from .tensor import mode_product, multi_mode_product, unfold
@@ -70,7 +72,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("p", "d", "q"):
+        for name in ("p", "d", "q", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.tau < 1:
@@ -124,7 +126,15 @@ class ModelConfig:
 @dataclass(frozen=True)
 class FittedModel:
     """Learned state: factors, differenced core sequence, error tensors,
-    ARIMA coefficients, and the inverse-transform bookkeeping."""
+    ARIMA coefficients, and the inverse-transform bookkeeping.
+
+    From :func:`fit`, ``cores`` holds the core of every differenced slice and
+    ``diff_state`` the whole difference history with its heads. After
+    :func:`append_observation`, ``cores`` holds only the newest ``max(p, 1)``
+    cores and ``diff_state`` is a bounded streaming state (tails, the newest
+    difference, no heads); ``original_shape`` and ``t_hat`` still count the
+    whole history.
+    """
 
     config: ModelConfig
     factors: tuple[np.ndarray, ...]
@@ -492,6 +502,12 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     observed window (the level-0 differencing tail, or the newest slice when
     ``d = 0``) shifted by one with ``new_slice`` appended, so no history is
     rebuilt.
+
+    The returned model keeps only what streaming reads: the newest
+    ``max(p, 1)`` cores and a differencing state holding the tails, the
+    newest difference as ``slices[..., -1:]`` and no heads. Nothing older
+    is copied, so an append costs the same at any history length.
+    The input model is left unchanged.
     """
     new_slice = np.asarray(new_slice, dtype=np.float64)
     if new_slice.shape != model.original_shape[:-1]:
@@ -502,20 +518,27 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     ds = model.diff_state
     window = ds.tails[0] if ds.order else ds.slices[..., -1]
     emb_new = np.concatenate([window[..., 1:], new_slice[..., None]], axis=-1)
-    ds2, d_new = push_observed(ds, emb_new)
+    tails, d_new = _difference_step(ds.tails, emb_new)
     g_new = multi_mode_product(
         d_new, _projectors(model.factors, model.config.ortho == "relaxed")
     )
     errors = list(model.errors)
+    p = len(model.coeffs.alpha)
     if errors:
-        lags = _recent_cores(model.cores, len(model.coeffs.alpha))
+        lags = _recent_cores(model.cores, p)
         predicted = _core_prediction(model, lags, errors)
         errors = [g_new - predicted] + errors[:-1]
+    # The start index is explicit because ``cores[..., -(keep - 1):]`` is the
+    # whole stack when keep == 1.
+    keep = max(p, 1)
+    older = model.cores[..., model.cores.shape[-1] - keep + 1 :]
     return replace(
         model,
-        cores=np.concatenate([model.cores, g_new[..., None]], axis=-1),
+        cores=np.concatenate([older, g_new[..., None]], axis=-1),
         errors=tuple(errors),
-        diff_state=ds2,
+        diff_state=DifferencedSeries(
+            order=ds.order, slices=d_new[..., None], heads=(), tails=tails
+        ),
         original_shape=(*model.original_shape[:-1], model.original_shape[-1] + 1),
         t_hat=model.t_hat + 1,
     )

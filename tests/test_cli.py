@@ -162,6 +162,39 @@ def test_missing_file_is_usage_error(tmp_path):
     assert code == cli.USAGE_ERROR
 
 
+@pytest.mark.parametrize("flags", [
+    ["--length", "0"], ["--n-series", "0"], ["--noise", "-1"], ["--noise", "nan"],
+    ["--seed", "-1"],
+])
+def test_bad_synth_arguments_are_usage_errors(tmp_path, capsys, flags):
+    out = tmp_path / "never.csv"
+    assert cli.main(["synth", *flags, "--out", str(out)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flags[0].lstrip("-") in err
+    assert not out.exists()
+
+
+def test_directory_dataset_is_usage_error(tmp_path, capsys):
+    assert cli.main(["backtest", str(tmp_path)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def test_failed_output_write_names_requested_path(tmp_path, capsys):
+    data_path, _ = make_dataset(tmp_path)
+    fc = str(tmp_path / "missing" / "f.csv")
+    code = cli.main(
+        ["fit-forecast", data_path, "--ranks", "8,3", "--forecast-out", fc]
+    )
+    assert code == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(fc) in err
+    assert ".tmp-" not in err
+
+
 def test_argparse_usage_maps_to_exit_1():
     assert cli.main(["unknown-command"]) == cli.USAGE_ERROR
     assert cli.main([]) == cli.USAGE_ERROR

@@ -372,7 +372,7 @@ def test_append_observation_advances_state():
         predicted -= b * m.errors[i]
     m2 = append_observation(m, BENCH[..., 36])
     assert m2.t_hat == m.t_hat + 1
-    assert m2.cores.shape[-1] == m.cores.shape[-1] + 1
+    assert m2.cores.shape[-1] == max(BENCH_CFG.p, 1)
     assert m2.original_shape == (20, 37)
     realized = m2.cores[..., -1] - predicted
     assert np.max(np.abs(m2.errors[0] - realized)) < 1e-12
@@ -477,6 +477,9 @@ STREAM_CASES = [
     for d in (0, 1, 2)
     for tau in (1, 3, 4)
     for ortho in ("full", "relaxed")
+] + [
+    pytest.param(BENCH, ModelConfig(p=p, d=d), id=f"p{p}-d{d}")
+    for p, d in ((0, 0), (0, 1), (3, 1), (3, 2))
 ] + [pytest.param(_order3_panel(), ModelConfig(p=1, d=1, q=1, tau=3), id="order3")]
 
 
@@ -501,7 +504,8 @@ def test_append_walk_matches_history_rebuild(x, cfg):
         m = append_observation(m, x[..., k])
         ref = oracle_append(ref, x[..., k])
     assert m.original_shape == ref.original_shape
-    assert np.allclose(m.cores, ref.cores, rtol=0, atol=1e-12 * np.abs(ref.cores).max())
+    kept = ref.cores[..., -m.cores.shape[-1] :]
+    assert np.allclose(m.cores, kept, rtol=0, atol=1e-12 * np.abs(ref.cores).max())
 
 
 def _model_arrays(m):
@@ -512,13 +516,51 @@ def _model_arrays(m):
     ]
 
 
-def test_forecast_leaves_model_unchanged():
+def _forecast_arrays(m):
+    result = forecast(m, 6)
+    return [result.forecasts, result.embedded_forecasts]
+
+
+def _append_arrays(m):
+    m2 = append_observation(m, BENCH[..., 7])
+    return [np.array(m2.original_shape + (m2.t_hat,)), *_model_arrays(m2)]
+
+
+@pytest.mark.parametrize(
+    "step", [_forecast_arrays, _append_arrays], ids=["forecast", "append_observation"]
+)
+def test_forecast_leaves_model_unchanged(step):
     m = fit(BENCH, ModelConfig(d=2, tau=4, q=2))
     before = [a.copy() for a in _model_arrays(m)]
-    forecast(m, 6)
+    first = step(m)
     after = _model_arrays(m)
     assert len(before) == len(after)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    # the same call on the same model gives the same bytes
+    second = step(m)
+    assert len(first) == len(second)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("p, d", [(0, 0), (1, 1), (2, 2), (3, 1)])
+def test_append_keeps_bounded_state(p, d):
+    x = synth_dataset("sinusoid-mixture", 6, 80, 0.05, seed=5)
+    m = fit(x[..., :30], ModelConfig(p=p, d=d, q=1, tau=3))
+    for k in range(30, 80):
+        m = append_observation(m, x[..., k])
+    assert m.cores.shape[-1] == max(p, 1)
+    assert m.diff_state.slices.shape[-1] == 1
+    assert m.diff_state.heads == ()
+    assert len(m.diff_state.tails) == d
+    assert m.original_shape == (6, 80)
+    assert m.t_hat == 78
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_reconstruct_refuses_streamed_state(d):
+    m = append_observation(fit(BENCH[..., :36], ModelConfig(d=d)), BENCH[..., 36])
+    with pytest.raises(ValueError, match="heads"):
+        reconstruct(m.diff_state)
 
 
 def test_streaming_never_rebuilds_history(monkeypatch):
