@@ -11,7 +11,7 @@ histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,16 @@ class DifferencedSeries:
 
     A streaming state (from ``model.append_observation``) is bounded: it
     keeps the tails, only the newest difference as ``slices[..., -1:]``, and
-    ``heads=()``. It can be advanced but not rebuilt by :func:`reconstruct`.
+    ``heads=()``, and says so with ``bounded=True``, since at order 0 it
+    would otherwise look like a whole history. It can be advanced but not
+    rebuilt by :func:`reconstruct`.
     """
 
     order: int
     slices: np.ndarray
     heads: tuple[np.ndarray, ...]
     tails: tuple[np.ndarray, ...]
+    bounded: bool = False
 
     @property
     def slice_shape(self) -> tuple[int, ...]:
@@ -71,13 +74,17 @@ def difference(s: np.ndarray, d: int) -> DifferencedSeries:
 def reconstruct(ds: DifferencedSeries) -> np.ndarray:
     """Rebuild the original sequence exactly from differences and heads.
 
-    Raises ``ValueError`` for a state without one head per level, such as a
-    bounded streaming state, whose full history is gone.
+    Raises ``ValueError`` for a bounded streaming state, whose full history
+    is gone, and for a state without one head per level.
     """
+    if ds.bounded:
+        raise ValueError(
+            f"cannot rebuild an order-{ds.order} history from a bounded "
+            "streaming state (it keeps no heads and only the newest difference)"
+        )
     if len(ds.heads) != ds.order:
         raise ValueError(
-            f"cannot rebuild an order-{ds.order} history from {len(ds.heads)} "
-            "heads (a streaming state keeps no heads)"
+            f"cannot rebuild an order-{ds.order} history from {len(ds.heads)} heads"
         )
     level = ds.slices
     for head in reversed(ds.heads):
@@ -106,15 +113,8 @@ def extend(ds: DifferencedSeries, predicted: np.ndarray) -> tuple[DifferencedSer
     if predicted.shape != ds.slice_shape:
         raise ValueError(f"predicted slice shape {predicted.shape} != {ds.slice_shape}")
     new_tails, value = _integrate(ds.tails, predicted)
-    return (
-        DifferencedSeries(
-            order=ds.order,
-            slices=np.concatenate([ds.slices, predicted[..., None]], axis=-1),
-            heads=ds.heads,
-            tails=new_tails,
-        ),
-        value,
-    )
+    slices = np.concatenate([ds.slices, predicted[..., None]], axis=-1)
+    return replace(ds, slices=slices, tails=new_tails), value
 
 
 def _difference_step(
@@ -137,12 +137,5 @@ def push_observed(ds: DifferencedSeries, observed: np.ndarray) -> tuple[Differen
     if observed.shape != ds.slice_shape:
         raise ValueError(f"observed slice shape {observed.shape} != {ds.slice_shape}")
     new_tails, value = _difference_step(ds.tails, observed)
-    return (
-        DifferencedSeries(
-            order=ds.order,
-            slices=np.concatenate([ds.slices, value[..., None]], axis=-1),
-            heads=ds.heads,
-            tails=new_tails,
-        ),
-        value,
-    )
+    slices = np.concatenate([ds.slices, value[..., None]], axis=-1)
+    return replace(ds, slices=slices, tails=new_tails), value

@@ -193,20 +193,76 @@ def update_core(
     return 0.5 * acc
 
 
-def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarray:
+def _hankel_spans(
+    dx: np.ndarray, start: int, ranks: tuple[int, ...]
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Per embedded mode, the fixed bases of :func:`_factor_basis`'s
+    compressed path, or ``None`` where the dense SVD runs.
+
+    The differenced slices ``dx`` (shape ``(*series, tau, n_diff)``) are
+    Hankel in (window, time): ``dx[..., k, t] == dx[..., k + 1, t - 1]``
+    bit for bit. Over the objective's range ``start:`` they hold only
+    ``n_t + tau - 1`` distinct columns per series index, with
+    ``n_t = n_diff - start``: ``dx[..., 0, start:]`` followed by
+    ``dx[..., 1:, -1]``. So the mode-``m`` unfolding of the data, and with
+    it every alignment matrix ``W`` of that mode, has rank at most
+    ``K_m = (product of the other series extents) * (n_t + tau - 1)``.
+
+    For a series mode with ``J_m > K_m`` the complete Householder QR of the
+    distinct columns' mode-``m`` unfolding gives ``span`` (its first
+    ``K_m`` columns, whose range holds range(W)) and ``complement`` (the
+    next ``R_m - K_m`` columns, empty when ``R_m <= K_m``). Which modes
+    qualify follows from the shapes alone; the window mode never does.
+    """
+    n_series = dx.ndim - 2
+    n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
+    n_columns = math.prod(dx.shape[:n_series]) * n_distinct
+    spans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(ranks)
+    for mode in range(n_series):
+        j = dx.shape[mode]
+        k = n_columns // j
+        if j <= k:
+            continue
+        hankel = np.concatenate([dx[..., 0, start:], dx[..., 1:, -1]], axis=-1)
+        q = np.linalg.qr(unfold(hankel, mode), mode="complete")[0]
+        spans[mode] = (q[:, :k], q[:, k : ranks[mode]])
+    return spans
+
+
+def _factor_basis(
+    partial: np.ndarray,
+    cores: np.ndarray,
+    mode: int,
+    span: tuple[np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
-    of the alignment matrix ``sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
+    of the alignment matrix ``W = sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
 
     ``partial`` is the stacked data projected on every mode but ``mode``.
     The basis pins the within-subspace rotation to the singular vectors: a
     rotation-free Procrustes map ``u @ v.T`` would, with full Tucker ranks,
     let the autoregressive terms spin the factors by a constant angle every
     sweep, so the relative-factor-change stopping rule would never fire.
+
+    Without ``span`` this is the thin SVD of the ``J x R`` matrix ``W``.
+    With ``span = (Q, C)`` from :func:`_hankel_spans`, range(W) lies inside
+    range(Q), the block-Hankel span of the data, so ``W = Q Q.T W`` and
+    the SVD of the ``K x R`` matrix ``Q.T W = u s v.T`` gives the factor
+    ``Q u`` followed by the fixed complement ``C``. This is exact: it
+    differs from the dense basis only in column signs (or rotations among
+    equal singular values) and in the null-space columns. Those come from ``C`` (and from ``Q u`` where
+    ``W`` is rank-deficient) rather than from whatever LAPACK returns for
+    a rank-deficient ``W``, so they no longer move between sweeps and the
+    stopping rule measures the motion of the data-bearing columns.
     """
     # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
     # so one product sums over t.
-    w = unfold(partial, mode) @ unfold(cores, mode).T
-    return linalg.svd(w).u
+    if span is None:
+        w = unfold(partial, mode) @ unfold(cores, mode).T
+        return linalg.svd(w).u
+    basis, complement = span
+    small = (basis.T @ unfold(partial, mode)) @ unfold(cores, mode).T
+    return np.concatenate([basis @ linalg.svd(small).u, complement], axis=1)
 
 
 def update_factor_relaxed(
@@ -330,6 +386,17 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     stopping rule. The returned model stores the final projections of every
     differenced slice together with coefficients re-estimated from them, so
     its state is self-consistent under the converged factors.
+
+    The differenced slices form a block Hankel tensor, so a series mode of
+    extent ``J_m`` holds at most ``K_m = (product of the other series
+    extents) * (n_t + tau - 1)`` distinct columns over the objective's range
+    (``n_t = n_diff - p - q`` slices). When ``J_m > K_m``, one QR of those
+    columns per fit gives the mode's span and a fixed complement, and every
+    sweep takes a ``K_m x R_m`` SVD inside that span instead of the
+    ``J_m x R_m`` one (see :func:`_factor_basis`). The factor's null-space
+    columns then stay put between sweeps, so the stopping rule sees only
+    real motion and such fits converge. Which path a mode takes follows from
+    the shapes alone; modes with ``J_m <= K_m`` run the dense SVD.
     """
     x = np.asarray(x, dtype=np.float64)
     _require_finite(x, "input data")
@@ -347,6 +414,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     n_diff = dx.shape[-1]
     start = p + q
 
+    spans = _hankel_spans(dx, start, ranks)
     rng = np.random.default_rng(cfg.seed)
     factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
     errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
@@ -391,7 +459,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
                 projectors[mode] = linalg.pinv(factors[mode])
             else:
                 partial = _project_from(partial_prefix, projectors, mode + 1)
-                factors[mode] = _factor_basis(partial, cores[..., start:], mode)
+                factors[mode] = _factor_basis(
+                    partial, cores[..., start:], mode, spans[mode]
+                )
                 projectors[mode] = factors[mode].T
             prefix = mode_product(prefix, projectors[mode], mode)
             if not last:
@@ -537,7 +607,11 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
         cores=np.concatenate([older, g_new[..., None]], axis=-1),
         errors=tuple(errors),
         diff_state=DifferencedSeries(
-            order=ds.order, slices=d_new[..., None], heads=(), tails=tails
+            order=ds.order,
+            slices=d_new[..., None],
+            heads=(),
+            tails=tails,
+            bounded=True,
         ),
         original_shape=(*model.original_shape[:-1], model.original_shape[-1] + 1),
         t_hat=model.t_hat + 1,

@@ -1,5 +1,6 @@
 """Model tests: config validation, update rules, fit/forecast behavior."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -628,16 +629,41 @@ def _sweep_project(t, mats, skip=None):
     return t
 
 
+def _oracle_distinct_columns(dx, start):
+    """The distinct columns of the (window, time) Hankel stack ``dx[..., start:]``,
+    one per anti-diagonal ``k + t``: the first window entry of every slice,
+    then the later window entries of the last slice."""
+    tau, n_diff = dx.shape[-2:]
+    cols = []
+    for diag in range(start, n_diff + tau - 1):
+        t = min(diag, n_diff - 1)
+        cols.append(dx[..., diag - t, t])
+    return np.stack(cols, axis=-1)
+
+
+def _oracle_span(dx, start, mode, rank):
+    """``(span, complement)`` of the compressed factor basis for a series
+    mode with more rows than distinct Hankel columns, else ``None``."""
+    h = unfold(_oracle_distinct_columns(dx, start), mode)
+    n_rows, n_cols = h.shape
+    if n_rows <= n_cols:
+        return None
+    q = np.linalg.qr(h, mode="complete")[0]
+    return q[:, :n_cols], q[:, n_cols:rank]
+
+
 def oracle_fit(x, cfg):
     """Reference fit: every projection is recomputed from the data at every
     mode, the factor basis gets its own partial projection, and the core
-    update runs one time step at a time."""
+    update runs one time step at a time. A series mode with more rows than
+    distinct Hankel columns takes the SVD inside their span."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
     ranks = cfg.resolved_ranks(emb_shape)
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
+    spans = [_oracle_span(dx, start, m, ranks[m]) for m in range(n_modes - 1)] + [None]
     rng = np.random.default_rng(cfg.seed)
     factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
     errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
@@ -667,8 +693,13 @@ def oracle_fit(x, cfg):
                 partial = _sweep_project(
                     dx[..., start:], _sweep_projectors(factors, relaxed), skip=mode
                 )
-                w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
-                factors[mode] = linalg.svd(w).u
+                if spans[mode] is None:
+                    w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
+                    factors[mode] = linalg.svd(w).u
+                else:
+                    span, complement = spans[mode]
+                    small = (span.T @ unfold(partial, mode)) @ unfold(cores[..., start:], mode).T
+                    factors[mode] = np.hstack([span @ linalg.svd(small).u, complement])
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
@@ -695,6 +726,7 @@ def oracle_fit(x, cfg):
         "iterations_used": len(trace),
         "relaxed_ridge_used": ridge_used,
         "error_updates_skipped": err_skipped,
+        "compressed_modes": [m for m, span in enumerate(spans) if span is not None],
     }
 
 
@@ -723,6 +755,9 @@ FIT_CASES = [
 def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
     m = fit(FIT_PANELS[panel], cfg)
     want = oracle_fit(FIT_PANELS[panel], cfg)
+    # Only the 200x120 panel has more series (J=200) than distinct Hankel
+    # columns (K = 114 + 3 - 1 = 116), so only it takes the compressed path.
+    assert want["compressed_modes"] == ([0] if panel == "200x120" else [])
     for name in ("factors", "errors"):
         got_arrays, want_arrays = getattr(m, name), want[name]
         assert len(got_arrays) == len(want_arrays)
@@ -741,3 +776,140 @@ def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
     got_fc, want_fc = forecast(m, 6), forecast(ref, 6)
     assert np.array_equal(got_fc.forecasts, want_fc.forecasts)
     assert np.array_equal(got_fc.embedded_forecasts, want_fc.embedded_forecasts)
+
+
+# --- factor bases inside the block-Hankel span ---------------------------------
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("tau", [1, 3, 4])
+def test_differenced_embedding_is_hankel(d, tau):
+    # The compressed factor basis relies on dx[..., k, t] == dx[..., k+1, t-1].
+    for x in (BENCH, _order3_panel()):
+        dx = difference(mdt_temporal(x, tau), d).slices
+        assert np.array_equal(dx[..., 1:, :-1], dx[..., :-1, 1:])
+
+
+def _basis_problem(rank, seed=4):
+    """A 60-series panel short enough that J=60 exceeds the K=21 distinct
+    Hankel columns, with a random window factor and random cores."""
+    rng = np.random.default_rng(seed)
+    x = synth_dataset("sinusoid-mixture", 60, 25, 0.05, seed=seed)
+    start = 3
+    dx = difference(mdt_temporal(x, 3), 1).slices
+    partial = mode_product(dx[..., start:], random_orthonormal(rng, 3, 3).T, 1)
+    cores = rng.standard_normal((rank, 3, dx.shape[-1] - start))
+    spans = bht_arima.model._hankel_spans(dx, start, (rank, 3))
+    return partial, cores, spans
+
+
+@pytest.mark.parametrize("rank", [10, 21, 48], ids=["R<K", "R=K", "R>K"])
+def test_compressed_factor_spans_the_dense_basis(rank):
+    partial, cores, spans = _basis_problem(rank)
+    assert spans[1] is None
+    span, complement = spans[0]
+    assert span.shape == (60, 21)
+    assert complement.shape == (60, max(rank - 21, 0))
+    got = bht_arima.model._factor_basis(partial, cores, 0, spans[0])
+    assert got.shape == (60, rank)
+    assert np.max(np.abs(got.T @ got - np.eye(rank))) < 1e-12
+    w = unfold(partial, 0) @ unfold(cores, 0).T
+    dense = linalg.svd(w)
+    r = int(np.sum(dense.s > 1e-10 * dense.s[0]))
+    assert 0 < r <= min(rank, 21)
+    proj_got = got[:, :r] @ got[:, :r].T
+    proj_dense = dense.u[:, :r] @ dense.u[:, :r].T
+    assert np.max(np.abs(proj_got - proj_dense)) < 1e-10
+    # the columns past the data's rank, the fixed complement among them,
+    # are orthogonal to range(W)
+    assert np.linalg.norm(got[:, r:].T @ w) < 1e-10 * np.linalg.norm(w)
+    if rank > 21:
+        assert np.array_equal(got[:, 21:], complement)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [BENCH, _order3_panel(), synth_dataset("sinusoid-mixture", 21, 25, 0.05, seed=4)],
+    ids=["20x40", "order3", "J=K=21"],
+)
+def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
+    # J <= K in every mode: no span is built and the basis is linalg.svd(W).u.
+    dx = difference(mdt_temporal(x, 3), 1).slices
+    start = 3
+    ranks = ModelConfig().resolved_ranks(dx.shape[:-1])
+    assert bht_arima.model._hankel_spans(dx, start, ranks) == [None] * len(ranks)
+    rng = np.random.default_rng(2)
+    cores = rng.standard_normal((*ranks, dx.shape[-1] - start))
+    for mode in range(len(ranks)):
+        mats = [random_orthonormal(rng, j, r).T for j, r in zip(dx.shape[:-1], ranks)]
+        partial = multi_mode_product(dx[..., start:], mats, skip=mode)
+        w = unfold(partial, mode) @ unfold(cores, mode).T
+        got = bht_arima.model._factor_basis(partial, cores, mode, None)
+        assert np.array_equal(got, linalg.svd(w).u)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_full_fit_converges_on_200x90(seed):
+    # 200 series and 90 steps: J=200 exceeds K=86 distinct Hankel columns.
+    x = synth_dataset("sinusoid-mixture", 200, 100, 0.05, seed)[..., :90]
+    cfg = ModelConfig()
+    m = fit(x, cfg)
+    assert m.converged
+    assert m.iterations_used < cfg.max_iter
+    assert m.trace[-1] < cfg.tol
+
+
+def _compressed_modes(m):
+    """Series modes whose extent exceeds their count of distinct Hankel columns."""
+    series = m.embedded_shape[:-1]
+    n_distinct = m.cores.shape[-1] - (m.config.p + m.config.q) + m.tau - 1
+    return [
+        mode for mode, j in enumerate(series)
+        if j > math.prod(series) // j * n_distinct
+    ]
+
+
+_RW = synth_dataset("random-walk", 50, 12, 0.05, seed=3)
+DEGENERATE_CASES = [
+    pytest.param(np.zeros((50, 12)), ModelConfig(), id="zero"),
+    pytest.param(np.full((50, 12), 2.5), ModelConfig(), id="constant"),
+    pytest.param(np.full((50, 12), 2.5), ModelConfig(d=0), id="constant-d0"),
+    pytest.param(_RW, ModelConfig(tau=1), id="tau1"),
+    pytest.param(_RW, ModelConfig(d=0), id="d0"),
+    pytest.param(_RW, ModelConfig(d=2), id="d2"),
+    pytest.param(_RW, ModelConfig(ortho="relaxed"), id="relaxed"),
+    pytest.param(
+        synth_dataset("sinusoid-mixture", 80, 12, 0.05, seed=5).reshape(40, 2, 12),
+        ModelConfig(), id="order3-40x2x12",
+    ),
+]
+
+
+@pytest.mark.parametrize("x, cfg", DEGENERATE_CASES)
+def test_compressed_path_on_degenerate_panels(x, cfg):
+    m = fit(x, cfg)
+    assert _compressed_modes(m) == [0]
+    assert np.all(np.isfinite(forecast(m, 4).forecasts))
+    n_constrained = len(m.factors) - (cfg.ortho == "relaxed")
+    for f in m.factors[:n_constrained]:
+        assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
+
+
+# --- bounded streaming state at differencing order 0 ------------------------------
+
+
+def test_reconstruct_tells_order0_streamed_state_from_fitted():
+    x = BENCH[:5]
+    m = fit(x[..., :36], ModelConfig(d=0))
+    # a fitted order-0 state is the whole embedded history
+    assert np.array_equal(reconstruct(m.diff_state), mdt_temporal(x[..., :36], 3))
+    streamed = append_observation(m, x[..., 36]).diff_state
+    assert streamed.bounded and not m.diff_state.bounded
+    with pytest.raises(ValueError, match="bounded"):
+        reconstruct(streamed)
+    # advancing a bounded state keeps it bounded
+    slice_ = np.ones(streamed.slice_shape)
+    for advanced, _ in (extend(streamed, slice_), push_observed(streamed, slice_)):
+        assert advanced.bounded
+        with pytest.raises(ValueError, match="bounded"):
+            reconstruct(advanced)
