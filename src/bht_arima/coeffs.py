@@ -10,6 +10,7 @@ least-squares form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,17 +63,26 @@ def autocovariance(g: np.ndarray, lag: int) -> float:
     n = g.shape[-1]
     if not 0 <= lag < n:
         raise ValueError(f"lag {lag} out of range for sequence of length {n}")
+    return _autocovariances(g, (lag,))[0]
+
+
+def _autocovariances(g: np.ndarray, lags: Iterable[int]) -> list[float]:
+    """:func:`autocovariance` at each of ``lags``, centring ``g`` once."""
     centered = g - g.mean(axis=-1, keepdims=True)
-    span = n - lag
-    return float(np.sum(centered[..., :span] * centered[..., lag:])) / span
+    n = g.shape[-1]
+    return [
+        float(np.sum(centered[..., : n - lag] * centered[..., lag:])) / (n - lag)
+        for lag in lags
+    ]
 
 
 def estimate_ar(g: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
     """Yule-Walker AR estimate from a tensor-slice sequence.
 
-    Returns ``(alpha, fallback)``. On a singular or degenerate system the
-    estimate falls back to the random-walk prior ``(1, 0, ..., 0)`` and the
-    flag is set.
+    Returns ``(alpha, fallback)``. On a singular or degenerate system, or
+    when the centred sequence's norm is at most ``1e-12`` times the
+    sequence's own, the estimate falls back to the random-walk prior
+    ``(1, 0, ..., 0)`` and the flag is set.
     """
     g = _as_sequence(g)
     if p < 0:
@@ -81,12 +91,17 @@ def estimate_ar(g: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
         return np.zeros(0), False
     if g.shape[-1] <= p:
         raise ValueError(f"sequence length {g.shape[-1]} must exceed p={p}")
-    gamma = np.array([autocovariance(g, k) for k in range(p + 1)])
+    gamma = np.array(_autocovariances(g, range(p + 1)))
+    fallback = np.zeros(p)
+    fallback[0] = 1.0
+    # Centred energy at the rounding level of the sequence's own is no
+    # signal (a constant sequence that went through different but equal
+    # arithmetic); Yule-Walker would fit the rounding noise.
+    if gamma[0] * g.shape[-1] <= (_DEGENERATE_RTOL * np.linalg.norm(g)) ** 2:
+        return fallback, True
     try:
         return linalg.solve_toeplitz(gamma), False
     except SingularSystemError:
-        fallback = np.zeros(p)
-        fallback[0] = 1.0
         return fallback, True
 
 

@@ -20,6 +20,7 @@ Everything is deterministic given the input, the configuration, and the seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,9 +211,13 @@ def _hankel_spans(
 
     For a series mode with ``J_m > K_m`` the complete Householder QR of the
     distinct columns' mode-``m`` unfolding gives ``span`` (its first
-    ``K_m`` columns, whose range holds range(W)) and ``complement`` (the
-    next ``R_m - K_m`` columns, empty when ``R_m <= K_m``). Which modes
-    qualify follows from the shapes alone; the window mode never does.
+    ``K_m`` columns, whose range holds every mode-``m`` fibre of
+    ``dx[..., start:]`` and so range(W)) and ``complement`` (the next
+    ``R_m - K_m`` columns, empty when ``R_m <= K_m``). Which modes qualify
+    follows from the shapes alone; the window mode never does, and at most
+    one series mode can: ``J_0 > K_0`` and ``J_1 > K_1`` would need both
+    ``J_0 > J_1`` and ``J_1 > J_0``. :class:`_SpanCoordinates` carries that
+    mode through the fit.
     """
     n_series = dx.ndim - 2
     n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
@@ -229,12 +234,7 @@ def _hankel_spans(
     return spans
 
 
-def _factor_basis(
-    partial: np.ndarray,
-    cores: np.ndarray,
-    mode: int,
-    span: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
+def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
     of the alignment matrix ``W = sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
 
@@ -244,25 +244,125 @@ def _factor_basis(
     let the autoregressive terms spin the factors by a constant angle every
     sweep, so the relative-factor-change stopping rule would never fire.
 
-    Without ``span`` this is the thin SVD of the ``J x R`` matrix ``W``.
-    With ``span = (Q, C)`` from :func:`_hankel_spans`, range(W) lies inside
-    range(Q), the block-Hankel span of the data, so ``W = Q Q.T W`` and
-    the SVD of the ``K x R`` matrix ``Q.T W = u s v.T`` gives the factor
-    ``Q u`` followed by the fixed complement ``C``. This is exact: it
-    differs from the dense basis only in column signs (or rotations among
-    equal singular values) and in the null-space columns. Those come from ``C`` (and from ``Q u`` where
-    ``W`` is rank-deficient) rather than from whatever LAPACK returns for
-    a rank-deficient ``W``, so they no longer move between sweeps and the
-    stopping rule measures the motion of the data-bearing columns.
+    For a mode with no more series than distinct Hankel columns this is the
+    thin SVD of the ``J x R`` matrix ``W``. For the compressed mode of
+    :class:`_SpanCoordinates`, ``partial`` holds span coordinates ``Q.T X``,
+    so ``W`` is the ``K x R`` matrix ``Q.T W`` and the result is the
+    rotation ``u`` of the factor ``[Q u, C]``. Only the left singular
+    vectors are needed, and when ``R`` is well above ``K`` they come from
+    the ``K x K`` triangle ``r.T`` of ``W.T = (orthonormal) r`` (Chan's
+    R-SVD, Golub & Van Loan, *Matrix Computations*, section 5.4), so the SVD
+    never forms ``R``-column right vectors.
     """
     # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
     # so one product sums over t.
-    if span is None:
-        w = unfold(partial, mode) @ unfold(cores, mode).T
-        return linalg.svd(w).u
-    basis, complement = span
-    small = (basis.T @ unfold(partial, mode)) @ unfold(cores, mode).T
-    return np.concatenate([basis @ linalg.svd(small).u, complement], axis=1)
+    w = unfold(partial, mode) @ unfold(cores, mode).T
+    # R >= int(K * 11 / 6) is LAPACK gesdd's own crossover to an LQ-first
+    # SVD, evaluated as gesdd does, so the triangle keeps the column signs a
+    # plain SVD picks. Below it the two routes can differ in sign, which the
+    # sweep is not invariant to (the core update mixes new projections with
+    # lagged cores of the old signs): a 200x115 fit at seed 11 then took 8
+    # sweeps instead of 5.
+    if w.shape[1] >= int(w.shape[0] * 11 / 6):
+        w = np.linalg.qr(w.T, mode="r").T
+    return linalg.svd(w).u
+
+
+class _SpanCoordinates:
+    """The compressed series mode of a fit, carried in block-Hankel span
+    coordinates so that no ``J``-sized work runs inside the sweep.
+
+    With ``(Q, C)`` from :func:`_hankel_spans` (``K`` and ``n_c = max(R -
+    K, 0)`` columns) the mode's factor is ``U = [Q u, C]`` for a ``K x
+    min(K, R)`` rotation ``u``. The fit holds it as its span coordinates
+    ``f = Q.T U = [u, 0]`` (``K x R``) and composes ``U`` only for the
+    returned model. Every mode-``mode`` fibre of the objective range lies in
+    range(Q), so there ``U.T`` acts as ``[u.T; 0]`` on ``Q.T X``; on the
+    ``start`` head slices it gives ``[u.T Q.T h; C.T h]``. Both pieces,
+    ``data = Q.T dx`` and ``fixed`` (``C.T h`` on the head, zero on the
+    rest), are computed once per fit.
+    """
+
+    def __init__(
+        self,
+        dx: np.ndarray,
+        start: int,
+        mode: int,
+        basis: np.ndarray,
+        complement: np.ndarray,
+    ) -> None:
+        self.mode, self.start = mode, start
+        self.basis, self.complement = basis, complement
+        self.head = dx[..., :start]
+        self.data = mode_product(dx, basis.T, mode)
+        head = mode_product(self.head, complement.T, mode)
+        body = np.zeros((*head.shape[:-1], dx.shape[-1] - start))
+        self.fixed = np.concatenate([head, body], axis=-1)
+        # One Gram of [Q, C] per fit serves every sweep's orthogonality
+        # defect: U.T U = M.T G M with M = [[u, 0], [0, I]]. Its first K rows
+        # are kept; the complement block enters as ||C.T C - I||^2.
+        self.gram_span = np.concatenate([basis.T @ basis, basis.T @ complement], axis=1)
+        excess = complement.T @ complement
+        excess[np.diag_indices_from(excess)] -= 1.0
+        self.complement_defect = float(np.sum(excess**2))
+        self.complement_norm = float(np.sum(complement**2))
+
+    def initial(self, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Bring the seeded initial factor ``U0`` (``J x R``) in once.
+
+        Returns its span coordinates ``Q.T U0``, the data projected on it
+        (``U0.T h`` on the head slices, ``(U0.T Q) Q.T X`` on the rest) and
+        the squared norm of its part that the span coordinates miss,
+        ``||(U0 - Q Q.T U0) - [0, C]||^2``, which the first sweep's factor
+        change adds (the complement is orthogonal to ``Q``).
+        """
+        coords = self.basis.T @ factor
+        projected = np.concatenate(
+            [
+                mode_product(self.head, factor.T, self.mode),
+                mode_product(self.data[..., self.start :], coords.T, self.mode),
+            ],
+            axis=-1,
+        )
+        n_c = self.complement.shape[1]
+        outside = (
+            float(np.sum(factor**2))
+            - float(np.sum(coords**2))
+            + self.complement_norm
+            - 2.0 * float(np.sum(factor[:, factor.shape[1] - n_c :] * self.complement))
+        )
+        return coords, projected, outside
+
+    def coordinates(self, rotation: np.ndarray) -> np.ndarray:
+        """Span coordinates ``[u, 0]`` of the factor with rotation ``u``."""
+        zeros = np.zeros((rotation.shape[0], self.complement.shape[1]))
+        return np.concatenate([rotation, zeros], axis=1)
+
+    @staticmethod
+    def rotation(coords: np.ndarray) -> np.ndarray:
+        """The rotation ``u`` in span coordinates ``[u, 0]``."""
+        return coords[:, : min(coords.shape)]
+
+    def project(self, coords: np.ndarray) -> np.ndarray:
+        """``U.T dx`` on the compressed mode for span coordinates ``[u, 0]``."""
+        inside = mode_product(self.data, self.rotation(coords).T, self.mode)
+        return np.concatenate([inside, self.fixed], axis=self.mode)
+
+    def compose(self, coords: np.ndarray) -> np.ndarray:
+        """The factor ``U = [Q u, C]`` for span coordinates ``[u, 0]``."""
+        return np.concatenate([self.basis @ self.rotation(coords), self.complement], axis=1)
+
+    def defect(self, coords: np.ndarray) -> float:
+        """``||U.T U - I||`` for span coordinates ``[u, 0]``, from the Gram."""
+        rotation = self.rotation(coords)
+        k = self.basis.shape[1]
+        top = rotation.T @ self.gram_span
+        corner = top[:, :k] @ rotation - np.eye(rotation.shape[1])
+        return math.sqrt(
+            float(np.sum(corner**2))
+            + 2.0 * float(np.sum(top[:, k:] ** 2))
+            + self.complement_defect
+        )
 
 
 def update_factor_relaxed(
@@ -354,9 +454,11 @@ def _projectors(
     return mats
 
 
-def _project_from(t: np.ndarray, projectors: list[np.ndarray], first: int) -> np.ndarray:
-    """Apply ``projectors[mode]`` on every mode from ``first`` on, in order."""
-    for mode in range(first, len(projectors)):
+def _project_modes(
+    t: np.ndarray, projectors: list[np.ndarray], modes: Iterable[int]
+) -> np.ndarray:
+    """Apply ``projectors[mode]`` on each of ``modes``, in order."""
+    for mode in modes:
         t = mode_product(t, projectors[mode], mode)
     return t
 
@@ -369,11 +471,16 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise DataFormatError(f"{what}: non-finite value {x[idx]} at index {idx}")
 
 
-def _orthogonality_defect(factors: list[np.ndarray], n_constrained: int) -> float:
+def _orthogonality_defect(
+    factors: list[np.ndarray], n_constrained: int, span: _SpanCoordinates | None
+) -> float:
     worst = 0.0
-    for f in factors[:n_constrained]:
-        gram = f.T @ f
-        worst = max(worst, float(np.linalg.norm(gram - np.eye(f.shape[1]))))
+    for mode, f in enumerate(factors[:n_constrained]):
+        if span is not None and mode == span.mode:
+            defect = span.defect(f)
+        else:
+            defect = float(np.linalg.norm(f.T @ f - np.eye(f.shape[1])))
+        worst = max(worst, defect)
     return worst
 
 
@@ -391,12 +498,18 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     extent ``J_m`` holds at most ``K_m = (product of the other series
     extents) * (n_t + tau - 1)`` distinct columns over the objective's range
     (``n_t = n_diff - p - q`` slices). When ``J_m > K_m``, one QR of those
-    columns per fit gives the mode's span and a fixed complement, and every
-    sweep takes a ``K_m x R_m`` SVD inside that span instead of the
-    ``J_m x R_m`` one (see :func:`_factor_basis`). The factor's null-space
-    columns then stay put between sweeps, so the stopping rule sees only
-    real motion and such fits converge. Which path a mode takes follows from
-    the shapes alone; modes with ``J_m <= K_m`` run the dense SVD.
+    columns per fit gives the mode's span ``Q`` and a fixed complement
+    ``C`` (see :func:`_hankel_spans`), and the whole fit runs in span
+    coordinates (see :class:`_SpanCoordinates`): the data are projected on
+    ``Q`` once, the factor is held as its ``K_m x min(K_m, R_m)`` rotation
+    ``u``, each sweep takes an SVD of at most ``K_m x K_m`` (see
+    :func:`_factor_basis`), and ``[Q u, C]`` is composed only for the
+    returned model. The factor's null-space columns stay put between
+    sweeps, so the stopping rule sees only real motion and such fits
+    converge. Which path a mode takes follows from the shapes alone, and at
+    most one mode takes the compressed one; modes with ``J_m <= K_m`` run
+    the dense SVD, and a fit with no compressed mode runs its whole sweep on
+    the differenced data itself.
     """
     x = np.asarray(x, dtype=np.float64)
     _require_finite(x, "input data")
@@ -427,20 +540,37 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     ridge_used = False
     err_skipped = False
 
-    # Projections reuse work: ``prefix`` and ``partial_prefix`` carry the
-    # data (all of it, and the objective's range ``start:``) projected on
-    # the modes already updated in this sweep, and the fully advanced prefix
-    # is the next sweep's starting cores. The two prefixes are computed
+    # ``y`` is the data with the compressed mode, if any, projected on its
+    # current factor: ``factors`` holds that mode's span coordinates, and
+    # every projection chain below skips it (``later[m]`` lists the modes
+    # from ``m`` on but that one), so its ``projectors`` entry, the
+    # transposed span coordinates, is never read. Without a compressed mode
+    # ``y`` is ``dx``.
+    span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
+    span = None
+    y = dx
+    outside = 0.0
+    if span_mode is not None:
+        span = _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
+        factors[span_mode], y, outside = span.initial(factors[span_mode])
+    projectors = _projectors(factors, relaxed)
+    later = [
+        [m for m in range(first, n_modes) if m != span_mode] for first in range(n_modes + 1)
+    ]
+
+    # Projections reuse work: ``prefix`` and ``partial_prefix`` carry ``y``
+    # (all of it, and the objective's range ``start:``) projected on the
+    # modes already updated in this sweep, and the fully advanced prefix is
+    # the next sweep's starting cores. The two prefixes are computed
     # separately, not by slicing one, so every mode product sees the same
     # operand shapes and gives the same bits as a fresh projection.
-    projectors = _projectors(factors, relaxed)
-    cores = multi_mode_product(dx, projectors)
+    cores = _project_modes(y, projectors, later[0])
     for _ in range(cfg.max_iter):
         est = estimate_coefficients(cores, p, q)
         previous = [f.copy() for f in factors]
-        prefix, partial_prefix = dx, dx[..., start:]
+        prefix, partial_prefix = y, y[..., start:]
         for mode in range(n_modes):
-            projection = _project_from(prefix, projectors, mode) if mode else cores
+            projection = _project_modes(prefix, projectors, later[mode]) if mode else cores
             new_cores = projection.copy()
             new_cores[..., start:] = update_core(
                 projection[..., start:],
@@ -452,16 +582,27 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             cores = new_cores
             last = mode == n_modes - 1
             if relaxed and last:
+                data = dx if span is None else span.data
                 factors[mode], used_ridge = update_factor_relaxed(
-                    dx[..., start:], cores[..., start:], factors
+                    data[..., start:], cores[..., start:], factors
                 )
                 ridge_used = ridge_used or used_ridge
                 projectors[mode] = linalg.pinv(factors[mode])
-            else:
-                partial = _project_from(partial_prefix, projectors, mode + 1)
-                factors[mode] = _factor_basis(
-                    partial, cores[..., start:], mode, spans[mode]
+            elif mode == span_mode:
+                # Span coordinates of the data in, span coordinates of the
+                # factor out; then ``y`` and the prefixes follow the factor.
+                partial = _project_modes(span.data[..., start:], projectors, later[0])
+                factors[mode] = span.coordinates(
+                    _factor_basis(partial, cores[..., start:], mode)
                 )
+                projectors[mode] = factors[mode].T
+                y = span.project(factors[mode])
+                prefix = _project_modes(y, projectors, range(mode))
+                partial_prefix = _project_modes(y[..., start:], projectors, range(mode))
+                continue
+            else:
+                partial = _project_modes(partial_prefix, projectors, later[mode + 1])
+                factors[mode] = _factor_basis(partial, cores[..., start:], mode)
                 projectors[mode] = factors[mode].T
             prefix = mode_product(prefix, projectors[mode], mode)
             if not last:
@@ -472,14 +613,22 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         # The state a further sweep would start from: projections under the
         # updated factors.
         cores = prefix
-        delta = sum(
-            float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous)
-        ) / sum(float(np.sum(f**2)) for f in factors)
+        change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
+        size = sum(float(np.sum(f**2)) for f in factors)
+        if span is not None:
+            # U - U_prev = Q (f - f_prev) plus, in the first sweep only, the
+            # part of the initial factor that its span coordinates miss.
+            change += outside
+            size += span.complement_norm
+            outside = 0.0
+        delta = change / size
         trace.append(delta)
-        ortho_trace.append(_orthogonality_defect(factors, n_constrained))
+        ortho_trace.append(_orthogonality_defect(factors, n_constrained, span))
         if delta < cfg.tol:
             converged = True
             break
+    if span is not None:
+        factors[span_mode] = span.compose(factors[span_mode])
 
     # Store that state with coefficients estimated from it, so the model is
     # self-consistent under the final factors.

@@ -97,6 +97,22 @@ def test_estimate_ar_degenerate_falls_back():
     assert np.array_equal(alpha, [1.0, 0.0])
 
 
+def test_estimate_ar_rounding_level_sequence_falls_back():
+    # equal slices that went through different arithmetic: their centred
+    # energy is at the rounding level of the slices themselves
+    rng = np.random.default_rng(6)
+    g = 2.5 + 1e-15 * rng.standard_normal((4, 3, 30))
+    alpha, fallback = estimate_ar(g, 2)
+    assert fallback
+    assert np.array_equal(alpha, [1.0, 0.0])
+    # a small signal is still estimated, whatever its scale
+    s = simulate_ar([0.6], 500, seed=2)
+    for scale in (1e-20, 1e-6, 1e6):
+        alpha, fallback = estimate_ar(scale * s, 1)
+        assert not fallback
+        assert abs(alpha[0] - 0.6) < 0.1
+
+
 def test_estimate_ar_order_zero():
     alpha, fallback = estimate_ar(np.ones(5), 0)
     assert alpha.size == 0 and not fallback

@@ -656,7 +656,9 @@ def oracle_fit(x, cfg):
     """Reference fit: every projection is recomputed from the data at every
     mode, the factor basis gets its own partial projection, and the core
     update runs one time step at a time. A series mode with more rows than
-    distinct Hankel columns takes the SVD inside their span."""
+    distinct Hankel columns takes the SVD inside their span, with its factor
+    and the data kept in J-space: ``fit`` runs that mode in span
+    coordinates (``span_oracle_fit``) and agrees with this to 1e-10."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
@@ -730,6 +732,130 @@ def oracle_fit(x, cfg):
     }
 
 
+def span_oracle_fit(x, cfg):
+    """``oracle_fit`` for a fit with a compressed mode ``c``, in span
+    coordinates as ``fit`` runs it: the data enter as ``Q.T dx`` plus the
+    fixed rows ``C.T h`` of the head slices ``h = dx[..., :start]``, and the
+    factor ``[Q u, C]`` as ``[u, 0] = Q.T U``. Every projection is still
+    recomputed at every mode, and the core update runs one step at a time."""
+    p, q = cfg.p, cfg.q
+    embedded = mdt_temporal(x, cfg.tau)
+    emb_shape = embedded.shape[:-1]
+    ranks = cfg.resolved_ranks(emb_shape)
+    dx = difference(embedded, cfg.d).slices
+    n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
+    spans = [_oracle_span(dx, start, m, ranks[m]) for m in range(n_modes - 1)] + [None]
+    (c,) = [m for m, span in enumerate(spans) if span is not None]
+    basis, complement = spans[c]
+    k, n_c = basis.shape[1], complement.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
+    errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
+    relaxed = cfg.ortho == "relaxed"
+    n_constrained = n_modes - 1 if relaxed else n_modes
+
+    data = mode_product(dx, basis.T, c)
+    head = mode_product(dx[..., :start], complement.T, c)
+    fixed = np.concatenate([head, np.zeros((*head.shape[:-1], n_diff - start))], axis=-1)
+    gram_span = np.hstack([basis.T @ basis, basis.T @ complement])
+    excess = complement.T @ complement - np.eye(n_c)
+    gram_defect = float(np.sum(excess**2))
+    complement_norm = float(np.sum(complement**2))
+    # The seeded initial factor: its span coordinates, the data projected on
+    # it, and the part of the first sweep's factor change outside the span.
+    initial = factors[c]
+    factors[c] = basis.T @ initial
+    y = np.concatenate([
+        mode_product(dx[..., :start], initial.T, c),
+        mode_product(data[..., start:], factors[c].T, c),
+    ], axis=-1)
+    outside = (
+        float(np.sum(initial**2)) - float(np.sum(factors[c] ** 2)) + complement_norm
+        - 2.0 * float(np.sum(initial[:, initial.shape[1] - n_c:] * complement))
+    )
+
+    def project(t, skip=()):
+        mats = _sweep_projectors(factors, relaxed)
+        for mode in range(n_modes):
+            if mode != c and mode not in skip:
+                t = mode_product(t, mats[mode], mode)
+        return t
+
+    def rotation(coords):
+        return coords[:, :min(coords.shape)]
+
+    trace, ortho_trace = [], []
+    converged = ridge_used = err_skipped = False
+    for _ in range(cfg.max_iter):
+        cores = project(y)
+        est = estimate_coefficients(cores, p, q)
+        previous = [f.copy() for f in factors]
+        for mode in range(n_modes):
+            projection = project(y)
+            new_cores = projection.copy()
+            for j in range(start, n_diff):
+                lags = [cores[..., j - i] for i in range(1, p + 1)]
+                new_cores[..., j] = update_core(
+                    projection[..., j], lags, errors, est.alpha, est.beta
+                )
+            cores = new_cores
+            if relaxed and mode == n_modes - 1:
+                factors[mode], used = update_factor_relaxed(
+                    data[..., start:], cores[..., start:], factors
+                )
+                ridge_used = ridge_used or used
+                continue
+            source = data if mode == c else y
+            partial = project(source[..., start:], skip={mode})
+            w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
+            if mode != c:
+                factors[mode] = linalg.svd(w).u
+                continue
+            if w.shape[1] >= int(k * 11 / 6):
+                w = np.linalg.qr(w.T, mode="r").T
+            u = linalg.svd(w).u
+            factors[c] = np.hstack([u, np.zeros((k, n_c))])
+            y = np.concatenate([mode_product(data, u.T, c), fixed], axis=c)
+        for i in range(q):
+            errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
+            err_skipped = err_skipped or skipped
+        change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
+        size = sum(float(np.sum(f**2)) for f in factors)
+        delta = (change + outside) / (size + complement_norm)
+        outside = 0.0
+        trace.append(delta)
+        defects = []
+        for mode, f in enumerate(factors[:n_constrained]):
+            if mode != c:
+                defects.append(float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))))
+                continue
+            top = rotation(f).T @ gram_span
+            corner = top[:, :k] @ rotation(f) - np.eye(rotation(f).shape[1])
+            defects.append(math.sqrt(
+                float(np.sum(corner**2)) + 2.0 * float(np.sum(top[:, k:] ** 2))
+                + gram_defect
+            ))
+        ortho_trace.append(max(defects))
+        if delta < cfg.tol:
+            converged = True
+            break
+    cores = project(y)
+    factors[c] = np.hstack([basis @ rotation(factors[c]), complement])
+    return {
+        "factors": tuple(factors),
+        "cores": cores,
+        "errors": tuple(errors),
+        "coeffs": estimate_coefficients(cores, p, q),
+        "trace": np.array(trace),
+        "ortho_trace": np.array(ortho_trace),
+        "converged": converged,
+        "iterations_used": len(trace),
+        "relaxed_ridge_used": ridge_used,
+        "error_updates_skipped": err_skipped,
+        "compressed_modes": [c],
+    }
+
+
 FIT_PANELS = {
     "20x40": BENCH,
     "12x8x48": synth_dataset("sinusoid-mixture", 96, 48, 0.05, seed=7).reshape(12, 8, 48),
@@ -754,9 +880,10 @@ FIT_CASES = [
 @pytest.mark.parametrize("panel, cfg", FIT_CASES)
 def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
     m = fit(FIT_PANELS[panel], cfg)
-    want = oracle_fit(FIT_PANELS[panel], cfg)
     # Only the 200x120 panel has more series (J=200) than distinct Hankel
-    # columns (K = 114 + 3 - 1 = 116), so only it takes the compressed path.
+    # columns (K = 114 + 3 - 1 = 116), so only it takes the compressed path,
+    # which fit runs in span coordinates.
+    want = (span_oracle_fit if panel == "200x120" else oracle_fit)(FIT_PANELS[panel], cfg)
     assert want["compressed_modes"] == ([0] if panel == "200x120" else [])
     for name in ("factors", "errors"):
         got_arrays, want_arrays = getattr(m, name), want[name]
@@ -810,13 +937,21 @@ def test_compressed_factor_spans_the_dense_basis(rank):
     span, complement = spans[0]
     assert span.shape == (60, 21)
     assert complement.shape == (60, max(rank - 21, 0))
-    got = bht_arima.model._factor_basis(partial, cores, 0, spans[0])
+    # In span coordinates the basis is the rotation u of the factor [Q u, C].
+    rotation = bht_arima.model._factor_basis(mode_product(partial, span.T, 0), cores, 0)
+    assert rotation.shape == (21, min(rank, 21))
+    got = np.hstack([span @ rotation, complement])
     assert got.shape == (60, rank)
     assert np.max(np.abs(got.T @ got - np.eye(rank))) < 1e-12
     w = unfold(partial, 0) @ unfold(cores, 0).T
     dense = linalg.svd(w)
     r = int(np.sum(dense.s > 1e-10 * dense.s[0]))
     assert 0 < r <= min(rank, 21)
+    # at R=48 >= 11K/6 the rotation comes from the K x K triangle of
+    # (Q.T W).T; its leading columns are the plain SVD's up to sign
+    plain = linalg.svd(span.T @ w).u
+    cosines = np.abs(np.sum(rotation[:, :r] * plain[:, :r], axis=0))
+    assert np.max(np.abs(cosines - 1)) < 1e-10
     proj_got = got[:, :r] @ got[:, :r].T
     proj_dense = dense.u[:, :r] @ dense.u[:, :r].T
     assert np.max(np.abs(proj_got - proj_dense)) < 1e-10
@@ -844,7 +979,7 @@ def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
         mats = [random_orthonormal(rng, j, r).T for j, r in zip(dx.shape[:-1], ranks)]
         partial = multi_mode_product(dx[..., start:], mats, skip=mode)
         w = unfold(partial, mode) @ unfold(cores, mode).T
-        got = bht_arima.model._factor_basis(partial, cores, mode, None)
+        got = bht_arima.model._factor_basis(partial, cores, mode)
         assert np.array_equal(got, linalg.svd(w).u)
 
 
@@ -893,6 +1028,91 @@ def test_compressed_path_on_degenerate_panels(x, cfg):
     n_constrained = len(m.factors) - (cfg.ortho == "relaxed")
     for f in m.factors[:n_constrained]:
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
+
+
+# --- the compressed mode in span coordinates against the J-space reference ------
+
+
+def _rel_diff(got, want):
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+def _assert_matches_jspace_reference(m, x, cfg):
+    """``fit`` (span coordinates) agrees with ``oracle_fit``'s J-space sweep,
+    which projects the data through the composed ``J x R`` factor at every
+    mode: the projectors ``U Uᵀ``, the cores and the forecasts to 1e-10, the
+    per-sweep factor change to 1e-8 relative, the sweep count and the
+    stopping decision exactly."""
+    want = oracle_fit(x, cfg)
+    assert (m.iterations_used, m.converged) == (want["iterations_used"], want["converged"])
+    assert np.max(np.abs(m.trace - want["trace"]) / want["trace"]) < 1e-8
+    for got_f, want_f in zip(m.factors, want["factors"]):
+        assert _rel_diff(got_f @ got_f.T, want_f @ want_f.T) < 1e-10
+    assert _rel_diff(m.cores, want["cores"]) < 1e-10
+    ref = replace(m, **{k: want[k] for k in ("factors", "cores", "errors", "coeffs")})
+    assert _rel_diff(forecast(m, 6).forecasts, forecast(ref, 6).forecasts) < 1e-10
+
+
+# J=60 series in mode 1 of a 2x60 panel, K_1 = 2 * (6 + 3 - 1) = 16 distinct
+# Hankel columns; mode 0 (J=2) has K_0 = 60 * 8 = 480 and stays dense.
+_MODE1_PANEL = synth_dataset("sinusoid-mixture", 120, 12, 0.05, seed=5).reshape(2, 60, 12)
+
+
+@pytest.mark.parametrize("max_iter", [2, 10])
+@pytest.mark.parametrize(
+    "ranks", [None, (2, 10, 3), (2, 16, 3)], ids=["auto-R48>K", "R10<K", "R16=K"]
+)
+def test_compressed_mode_one_and_ranks_up_to_k(ranks, max_iter):
+    cfg = ModelConfig(ranks=ranks, max_iter=max_iter)
+    m = fit(_MODE1_PANEL, cfg)
+    assert _compressed_modes(m) == [1]
+    assert m.factors[1].shape == (60, 48 if ranks is None else ranks[1])
+    assert np.all(np.isfinite(forecast(m, 4).forecasts))
+    for f in m.factors:
+        assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
+    _assert_matches_jspace_reference(m, _MODE1_PANEL, cfg)
+
+
+@pytest.mark.parametrize(
+    "x, cfg",
+    [
+        pytest.param(FIT_PANELS["200x120"], ModelConfig(max_iter=2), id="200x120-full"),
+        pytest.param(FIT_PANELS["200x120"], ModelConfig(), id="200x120-converged"),
+        pytest.param(_MODE1_PANEL, ModelConfig(ortho="relaxed"), id="mode1-relaxed"),
+        *[c for c in DEGENERATE_CASES
+          if c.id in ("tau1", "d0", "d2", "relaxed", "order3-40x2x12")],
+    ],
+)
+def test_span_coordinates_match_jspace_reference(x, cfg):
+    _assert_matches_jspace_reference(fit(x, cfg), x, cfg)
+
+
+@pytest.mark.parametrize(
+    "shape", [(50, 12), (300, 40), (5, 40)], ids=["50x12", "300x40", "5x40"]
+)
+def test_trend_panel_forecasts_continue_the_trend(shape):
+    # The differences of a linear trend are equal only to rounding, so the
+    # AR estimate falls back to the random walk instead of fitting that
+    # noise. The first two shapes take the compressed path.
+    n, length = shape
+    t = np.arange(length + 4.0)
+    panel = 3.0 + np.linspace(0.5, 1.5, n)[:, None] * t
+    m = fit(panel[:, :length], ModelConfig())
+    assert m.coeffs.ar_fallback
+    assert np.max(np.abs(forecast(m, 4).forecasts - panel[:, length:])) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(50, 12), (300, 40)], ids=["50x12", "300x40"])
+def test_constant_panel_at_d0_forecasts_the_constant(shape):
+    # In span coordinates the head slices and the rest take different
+    # arithmetic, so a constant panel's cores are equal only to rounding;
+    # the AR estimate must still fall back. (Without a compressed mode the
+    # random initial error tensors still leak into such forecasts: ROADMAP
+    # item 2.)
+    m = fit(np.full(shape, 2.5), ModelConfig(d=0))
+    assert _compressed_modes(m) == [0]
+    assert m.coeffs.ar_fallback
+    assert np.max(np.abs(forecast(m, 4).forecasts - 2.5)) < 1e-6
 
 
 # --- bounded streaming state at differencing order 0 ------------------------------
