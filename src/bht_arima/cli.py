@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .tensor import read_flat_tensor, write_flat_tensor
 __all__ = [
     "parse_csv",
     "load_dataset",
-    "RunSpec",
-    "run",
     "main",
     "entrypoint",
 ]
@@ -98,27 +95,6 @@ def load_dataset(path: str, fmt: str) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """A validated command invocation."""
-
-    command: str
-    model: ModelConfig
-    dataset_path: str | None = None
-    dataset_format: str = "csv"
-    horizon: int = 1
-    train_fraction: float = 0.9
-    refit: bool = True
-    forecast_out: str | None = None
-    summary_out: str | None = None
-    report_out: str | None = None
-    synth_kind: str = "sinusoid-mixture"
-    synth_n_series: int = 20
-    synth_length: int = 40
-    synth_noise: float = 0.05
-    synth_out: str | None = None
-
-
 def _atomic_write(path: str, content: str | np.ndarray) -> None:
     """Write ``content`` (text, or an array in the flat tensor format) to a
     temporary file beside ``path`` and rename it into place; on failure the
@@ -149,26 +125,28 @@ def _csv_text(matrix: np.ndarray, digits: str = ".9g") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _forecast_files(spec: RunSpec, model: FittedModel, forecasts: np.ndarray) -> None:
-    out_path = spec.forecast_out or _default_out(spec.dataset_path, "forecast.csv")
+def _forecast_files(
+    args: argparse.Namespace, model: FittedModel, forecasts: np.ndarray
+) -> None:
+    out_path = args.forecast_out or _default_out(args.dataset, "forecast.csv")
     # Higher-order slices: one flat tensor holding (slice shape, horizon).
     content = _csv_text(forecasts) if forecasts.ndim == 2 else forecasts
     _atomic_write(out_path, content)
-    summary_path = spec.summary_out or _default_out(spec.dataset_path, "summary.txt")
-    _atomic_write(summary_path, _summary_text(spec, model))
+    summary_path = args.summary_out or _default_out(args.dataset, "summary.txt")
+    _atomic_write(summary_path, _summary_text(args, model))
     print(f"forecast written to {out_path}")
     print(f"summary written to {summary_path}")
 
 
-def _summary_text(spec: RunSpec, model: FittedModel) -> str:
+def _summary_text(args: argparse.Namespace, model: FittedModel) -> str:
     cfg = model.config
     lines = [
-        f"command = {spec.command}",
-        f"dataset = {os.path.basename(spec.dataset_path or '')}",
+        f"command = {args.command}",
+        f"dataset = {os.path.basename(args.dataset)}",
         f"original_shape = {','.join(str(s) for s in model.original_shape)}",
         f"embedded_shape = {','.join(str(s) for s in model.embedded_shape)}",
         f"t_hat = {model.t_hat}",
-        f"horizon = {spec.horizon}",
+        f"horizon = {args.horizon}",
         f"p = {cfg.p}",
         f"d = {cfg.d}",
         f"q = {cfg.q}",
@@ -192,50 +170,50 @@ def _summary_text(spec: RunSpec, model: FittedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_out(dataset_path: str | None, suffix: str) -> str:
-    stem = os.path.splitext(dataset_path or "run")[0]
-    return f"{stem}.{suffix}"
+def _default_out(dataset_path: str, suffix: str) -> str:
+    return f"{os.path.splitext(dataset_path)[0]}.{suffix}"
 
 
-def run(spec: RunSpec) -> int:
-    """Execute a validated run specification; returns the exit code."""
-    if spec.command == "synth":
-        data = synth_dataset(
-            spec.synth_kind,
-            spec.synth_n_series,
-            spec.synth_length,
-            spec.synth_noise,
-            spec.model.seed,
-        )
-        out = spec.synth_out or f"{spec.synth_kind}.csv"
+def _run(args: argparse.Namespace) -> int:
+    """Validate and execute a parsed command line; returns the exit code."""
+    if args.command == "synth":
+        for flag, value in (("--n-series", args.n_series), ("--length", args.length)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if not 0 <= args.noise < math.inf:
+            raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
+        data = synth_dataset(args.kind, args.n_series, args.length, args.noise, args.seed)
+        out = args.out or f"{args.kind}.csv"
         _atomic_write(out, _csv_text(data, digits=".17g"))
         print(f"dataset written to {out}")
         return 0
 
-    data = load_dataset(spec.dataset_path, spec.dataset_format)
-    spec.model.validate_for(data.shape)
+    cfg = _model_config(args)
+    if args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
+    data = load_dataset(args.dataset, args.format)
+    cfg.validate_for(data.shape)
 
-    if spec.command == "fit-forecast":
-        model = fit(data, spec.model)
-        result = forecast(model, spec.horizon)
-        _forecast_files(spec, model, result.forecasts)
+    if args.command == "fit-forecast":
+        model = fit(data, cfg)
+        result = forecast(model, args.horizon)
+        _forecast_files(args, model, result.forecasts)
         return 0
 
-    if spec.command == "backtest":
-        report = rolling_backtest(
-            data,
-            spec.model,
-            train_fraction=spec.train_fraction,
-            horizon=spec.horizon,
-            refit=spec.refit,
-        )
-        out = spec.report_out or _default_out(spec.dataset_path, "report.txt")
-        _atomic_write(out, report.to_text())
-        print(f"report written to {out}")
-        print(f"runtime_seconds = {report.runtime_seconds:.3f}", file=sys.stderr)
-        return 0
-
-    raise ConfigError(f"unknown command {spec.command!r}")
+    report = rolling_backtest(
+        data,
+        cfg,
+        train_fraction=args.train_fraction,
+        horizon=args.horizon,
+        refit=not args.no_refit,
+    )
+    out = args.report_out or _default_out(args.dataset, "report.txt")
+    _atomic_write(out, report.to_text())
+    print(f"report written to {out}")
+    print(f"runtime_seconds = {report.runtime_seconds:.3f}", file=sys.stderr)
+    return 0
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -312,39 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    if args.command == "synth":
-        for flag, value in (("--n-series", args.n_series), ("--length", args.length)):
-            if value < 1:
-                raise ConfigError(f"{flag} must be >= 1, got {value}")
-        if not 0 <= args.noise < math.inf:
-            raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
-        return RunSpec(
-            command="synth",
-            model=ModelConfig(seed=args.seed),
-            synth_kind=args.kind,
-            synth_n_series=args.n_series,
-            synth_length=args.length,
-            synth_noise=args.noise,
-            synth_out=args.out,
-        )
-    spec = RunSpec(
-        command=args.command,
-        model=_model_config(args),
-        dataset_path=args.dataset,
-        dataset_format=args.format,
-        horizon=args.horizon,
-        train_fraction=getattr(args, "train_fraction", 0.9),
-        refit=not getattr(args, "no_refit", False),
-        forecast_out=getattr(args, "forecast_out", None),
-        summary_out=getattr(args, "summary_out", None),
-        report_out=getattr(args, "report_out", None),
-    )
-    if spec.horizon < 1:
-        raise ConfigError(f"--horizon must be >= 1, got {spec.horizon}")
-    return spec
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -354,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             # argparse exits 2 on usage problems; 2 is reserved for
             # numerical failures here.
             return 0 if exc.code == 0 else USAGE_ERROR
-        spec = _spec_from_args(args)
-        return run(spec)
+        return _run(args)
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -145,7 +145,9 @@ def rolling_backtest(
     observations are appended between steps, and the model is refit at every
     step unless ``refit=False`` (then a single fitted model advances without
     refitting). With ``horizon > 1``, one model is fit on the prefix and
-    forecasts the next ``horizon`` slices recursively.
+    forecasts the next ``horizon`` slices recursively. A scored slice with
+    zero norm, against which NRMSE is undefined, raises ``ConfigError``
+    before any fit.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 < train_fraction < 1.0:
@@ -157,6 +159,14 @@ def rolling_backtest(
         raise ConfigError("empty test region; lower train_fraction")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if horizon > n_test:
+        raise ConfigError(f"horizon {horizon} exceeds test region of {n_test} slices")
+    # NRMSE is undefined against a zero-norm slice; refuse before any fit.
+    for k in range(n_train, n_train + (n_test if horizon == 1 else horizon)):
+        if frobenius_norm(x[..., k]) == 0.0:
+            raise ConfigError(
+                f"held-out slice at time index {k} has zero norm; NRMSE is undefined"
+            )
     began = time.perf_counter()
     if horizon == 1:
         if refit:
@@ -166,10 +176,6 @@ def rolling_backtest(
         actuals = [x[..., k] for k in range(n_train, t_len)]
         protocol = "rolling-one-step"
     else:
-        if horizon > n_test:
-            raise ConfigError(
-                f"horizon {horizon} exceeds test region of {n_test} slices"
-            )
         model = fit(x[..., :n_train], cfg)
         result = forecast(model, horizon)
         preds = [result.forecasts[..., h] for h in range(horizon)]

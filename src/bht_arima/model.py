@@ -10,9 +10,10 @@ through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
 ``forecast`` and ``append_observation`` read only the last ``p`` cores, the
 ``q`` error tensors, the ``d`` differencing tails and the last embedded
-window, and ``append_observation`` returns a model holding only that bounded
-state, so a streaming step costs the same whatever the history length. Only
-``fit`` returns the full core and difference histories.
+window, so a streaming step costs the same whatever the history length.
+``fit`` and ``append_observation`` return the same differencing state: the
+``d`` tails and the newest difference. Only ``fit`` returns the full core
+history.
 
 Everything is deterministic given the input, the configuration, and the seed.
 """
@@ -129,12 +130,11 @@ class FittedModel:
     """Learned state: factors, differenced core sequence, error tensors,
     ARIMA coefficients, and the inverse-transform bookkeeping.
 
-    From :func:`fit`, ``cores`` holds the core of every differenced slice and
-    ``diff_state`` the whole difference history with its heads. After
-    :func:`append_observation`, ``cores`` holds only the newest ``max(p, 1)``
-    cores and ``diff_state`` is a bounded streaming state (tails, the newest
-    difference, no heads); ``original_shape`` and ``t_hat`` still count the
-    whole history.
+    ``diff_state`` holds the ``d`` differencing tails and the newest
+    difference as ``slices[..., -1:]``. From :func:`fit`, ``cores`` holds the
+    core of every differenced slice; after :func:`append_observation`, only
+    the newest ``max(p, 1)`` cores. ``original_shape`` and ``t_hat`` count
+    the whole history.
     """
 
     config: ModelConfig
@@ -381,8 +381,8 @@ def update_factor_relaxed(
     last = len(factors) - 1
     if last < 1:
         raise ValueError("relaxed update needs at least two embedded modes")
-    mats = [linalg.pinv(f.T).T for f in factors[:last]] + [factors[last]]
-    a_stack = multi_mode_product(xs, mats, skip=last)
+    mats = [linalg.pinv(f.T).T for f in factors[:last]]
+    a_stack = multi_mode_product(xs, mats)
     am = unfold(a_stack, last)
     gm = unfold(cores, last)
     gram = am @ am.T
@@ -640,7 +640,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         cores=cores,
         errors=tuple(e.copy() for e in errors),
         coeffs=est,
-        diff_state=ds,
+        diff_state=replace(ds, slices=dx[..., -1:].copy()),
         tau=cfg.tau,
         original_shape=x.shape,
         embedded_shape=emb_shape,
@@ -723,9 +723,10 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     rebuilt.
 
     The returned model keeps only what streaming reads: the newest
-    ``max(p, 1)`` cores and a differencing state holding the tails, the
-    newest difference as ``slices[..., -1:]`` and no heads. Nothing older
-    is copied, so an append costs the same at any history length.
+    ``max(p, 1)`` cores and a differencing state holding the tails and the
+    newest difference as ``slices[..., -1:]``, the same form :func:`fit`
+    returns. Nothing older is copied, so an append costs the same at any
+    history length.
     The input model is left unchanged.
     """
     new_slice = np.asarray(new_slice, dtype=np.float64)
@@ -755,13 +756,7 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
         model,
         cores=np.concatenate([older, g_new[..., None]], axis=-1),
         errors=tuple(errors),
-        diff_state=DifferencedSeries(
-            order=ds.order,
-            slices=d_new[..., None],
-            heads=(),
-            tails=tails,
-            bounded=True,
-        ),
+        diff_state=replace(ds, slices=d_new[..., None], tails=tails),
         original_shape=(*model.original_shape[:-1], model.original_shape[-1] + 1),
         t_hat=model.t_hat + 1,
     )

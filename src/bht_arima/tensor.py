@@ -79,19 +79,12 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 
 
 def multi_mode_product(
-    t: np.ndarray,
-    mats: list[np.ndarray] | tuple[np.ndarray, ...],
-    skip: int | None = None,
+    t: np.ndarray, mats: list[np.ndarray] | tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """Apply one matrix per leading mode of ``t`` (trailing modes untouched).
-
-    ``skip`` leaves one mode alone. Modes beyond ``len(mats)`` (for example a
-    trailing sequence axis) are left as-is.
-    """
+    """Apply one matrix per leading mode of ``t``; modes beyond
+    ``len(mats)`` (for example a trailing sequence axis) are left as-is."""
     out = np.asarray(t)
     for mode, m in enumerate(mats):
-        if mode == skip:
-            continue
         out = mode_product(out, m, mode)
     return out
 

@@ -182,6 +182,18 @@ def test_directory_dataset_is_usage_error(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def test_zero_held_out_slice_is_usage_error(tmp_path, capsys):
+    x = synth_dataset("sinusoid-mixture", 5, 30, 0.05, seed=3)
+    x[:, 28] = 0.0
+    data_path = tmp_path / "p.csv"
+    data_path.write_text(cli._csv_text(x, digits=".17g"))
+    assert cli.main(["backtest", str(data_path)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "time index 28" in err
+    assert not (tmp_path / "p.report.txt").exists()
+
+
 def test_failed_output_write_names_requested_path(tmp_path, capsys):
     data_path, _ = make_dataset(tmp_path)
     fc = str(tmp_path / "missing" / "f.csv")

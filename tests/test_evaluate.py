@@ -109,6 +109,33 @@ def test_rolling_backtest_validation():
         rolling_backtest(x, cfg, train_fraction=0.5, horizon=50)
 
 
+@pytest.mark.parametrize(
+    "horizon, refit, zero_cols, first",
+    [(1, True, [28], 28), (1, False, [29, 26], 26), (5, True, [28, 29], 28)],
+)
+def test_rolling_backtest_refuses_zero_held_out_slice_before_fitting(
+    monkeypatch, horizon, refit, zero_cols, first
+):
+    x = synth_dataset("sinusoid-mixture", 5, 30, 0.05, seed=1)
+    x[:, zero_cols] = 0.0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit before the held-out slices were checked")
+
+    monkeypatch.setattr(evaluate, "fit", forbidden)
+    with pytest.raises(ConfigError, match=rf"time index {first} has zero norm"):
+        rolling_backtest(x, ModelConfig(), 0.8, horizon=horizon, refit=refit)
+
+
+def test_rolling_backtest_scores_only_the_first_horizon_slices():
+    # the multi-step protocol scores slices 24..27, so a zero slice 28 is fine
+    x = synth_dataset("sinusoid-mixture", 5, 30, 0.05, seed=1)
+    x[:, 28] = 0.0
+    report = rolling_backtest(x, ModelConfig(), 0.8, horizon=4)
+    assert report.per_step_nrmse.shape == (4,)
+    assert np.isfinite(report.nrmse)
+
+
 def test_rolling_backtest_perfect_stub_scores_zero(monkeypatch):
     # a stub that memorizes the next true slice must yield exactly zero
     # NRMSE, pinning the forecast/actual alignment of the harness

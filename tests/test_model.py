@@ -13,7 +13,7 @@ import bht_arima.mdt
 import bht_arima.model
 from bht_arima import linalg
 from bht_arima.coeffs import estimate_coefficients
-from bht_arima.diff import difference, extend, push_observed, reconstruct
+from bht_arima.diff import difference
 from bht_arima.errors import ConfigError, DataFormatError
 from bht_arima.evaluate import rolling_backtest, synth_dataset
 from bht_arima.mdt import inverse_mdt_temporal, mdt_temporal
@@ -421,19 +421,31 @@ def _oracle_prediction(m, cores, errors):
     return pred
 
 
-def oracle_forecast(m, horizon):
-    """Reference forecast that rebuilds the whole history at every step:
-    reconstruct, extend, then read the value off the inverse embedding."""
+def _history(seen, m):
+    """The whole embedded history of the panel ``seen``, rebuilt from the
+    panel itself, and its order-d differences and their last slices."""
+    emb = mdt_temporal(seen, m.tau)
+    tails = [np.diff(emb, n=k, axis=-1)[..., -1] for k in range(m.config.d)]
+    return emb, np.diff(emb, n=m.config.d, axis=-1), tails
+
+
+def oracle_forecast(m, seen, horizon):
+    """Reference forecast for a model of the panel ``seen`` that rebuilds
+    the whole history from the panel, integrates each predicted difference
+    through the last slice of every differencing level, and reads the value
+    off the inverse embedding of the whole extended history."""
     proj = _oracle_projectors(m)
     cores = m.cores
     errors = [np.array(e) for e in m.errors]
-    ds = m.diff_state
-    emb_seq = reconstruct(ds)
+    emb_seq, _, tails = _history(seen, m)
     out_orig, out_emb = [], []
     for _ in range(horizon):
         pred = _oracle_prediction(m, cores, errors)
         d_slice = multi_mode_product(pred, list(m.factors))
-        ds, emb_slice = extend(ds, d_slice)
+        emb_slice = d_slice
+        for k in reversed(range(len(tails))):
+            emb_slice = tails[k] + emb_slice
+            tails[k] = emb_slice
         emb_seq = np.concatenate([emb_seq, emb_slice[..., None]], axis=-1)
         out_orig.append(inverse_mdt_temporal(emb_seq, m.tau)[..., -1])
         out_emb.append(emb_slice)
@@ -444,13 +456,12 @@ def oracle_forecast(m, horizon):
     return np.stack(out_orig, axis=-1), np.stack(out_emb, axis=-1)
 
 
-def oracle_append(m, new_slice):
-    """Reference append that re-embeds the tail of the rebuilt history."""
-    series = inverse_mdt_temporal(reconstruct(m.diff_state), m.tau)
-    extended = np.concatenate([series, new_slice[..., None]], axis=-1)
-    emb_new = mdt_temporal(extended[..., -m.tau :], m.tau)[..., 0]
-    ds2, d_new = push_observed(m.diff_state, emb_new)
-    g_new = multi_mode_product(d_new, _oracle_projectors(m))
+def oracle_append(m, seen):
+    """Reference append of ``seen[..., -1]`` to a model of ``seen[..., :-1]``
+    that embeds and differences the whole panel again; the returned model
+    keeps every core."""
+    _, dx, tails = _history(seen, m)
+    g_new = multi_mode_product(dx[..., -1], _oracle_projectors(m))
     errors = list(m.errors)
     if errors:
         errors = [g_new - _oracle_prediction(m, m.cores, errors)] + errors[:-1]
@@ -458,8 +469,8 @@ def oracle_append(m, new_slice):
         m,
         cores=np.concatenate([m.cores, g_new[..., None]], axis=-1),
         errors=tuple(errors),
-        diff_state=ds2,
-        original_shape=(*m.original_shape[:-1], m.original_shape[-1] + 1),
+        diff_state=replace(m.diff_state, slices=dx[..., -1:], tails=tuple(tails)),
+        original_shape=seen.shape,
         t_hat=m.t_hat + 1,
     )
 
@@ -488,7 +499,7 @@ STREAM_CASES = [
 def test_forecast_bit_identical_to_history_rebuild(x, cfg):
     m = fit(x, cfg)
     result = forecast(m, 8)
-    expected, expected_emb = oracle_forecast(m, 8)
+    expected, expected_emb = oracle_forecast(m, x, 8)
     assert np.array_equal(result.forecasts, expected)
     assert np.array_equal(result.embedded_forecasts, expected_emb)
 
@@ -500,10 +511,10 @@ def test_append_walk_matches_history_rebuild(x, cfg):
     ref = m
     for k in range(n_train, x.shape[-1]):
         got = forecast(m, 1).forecasts[..., 0]
-        want = oracle_forecast(ref, 1)[0][..., 0]
+        want = oracle_forecast(ref, x[..., :k], 1)[0][..., 0]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         m = append_observation(m, x[..., k])
-        ref = oracle_append(ref, x[..., k])
+        ref = oracle_append(ref, x[..., : k + 1])
     assert m.original_shape == ref.original_shape
     kept = ref.cores[..., -m.cores.shape[-1] :]
     assert np.allclose(m.cores, kept, rtol=0, atol=1e-12 * np.abs(ref.cores).max())
@@ -513,7 +524,7 @@ def _model_arrays(m):
     ds = m.diff_state
     return [
         *m.factors, m.cores, *m.errors, m.coeffs.alpha, m.coeffs.beta,
-        ds.slices, *ds.heads, *ds.tails, m.trace, m.ortho_trace,
+        ds.slices, *ds.tails, m.trace, m.ortho_trace,
     ]
 
 
@@ -551,17 +562,25 @@ def test_append_keeps_bounded_state(p, d):
         m = append_observation(m, x[..., k])
     assert m.cores.shape[-1] == max(p, 1)
     assert m.diff_state.slices.shape[-1] == 1
-    assert m.diff_state.heads == ()
     assert len(m.diff_state.tails) == d
     assert m.original_shape == (6, 80)
     assert m.t_hat == 78
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_reconstruct_refuses_streamed_state(d):
-    m = append_observation(fit(BENCH[..., :36], ModelConfig(d=d)), BENCH[..., 36])
-    with pytest.raises(ValueError, match="heads"):
-        reconstruct(m.diff_state)
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_fit_returns_the_streamed_diff_state_form(d):
+    x = BENCH[..., :36]
+    m = fit(x, ModelConfig(d=d))
+    streamed = append_observation(m, BENCH[..., 36]).diff_state
+    dx = np.diff(mdt_temporal(x, m.tau), n=d, axis=-1)
+    for ds in (m.diff_state, streamed):
+        assert ds.order == d and len(ds.tails) == d
+        assert ds.slices.shape == (*m.embedded_shape, 1)
+        # not a view that keeps a longer difference history alive
+        owner = ds.slices if ds.slices.base is None else ds.slices.base
+        assert owner.size == ds.slices.size
+    assert m.diff_state.slices.base is None
+    assert np.array_equal(m.diff_state.slices[..., 0], dx[..., -1])
 
 
 def test_streaming_never_rebuilds_history(monkeypatch):
@@ -578,7 +597,6 @@ def test_streaming_never_rebuilds_history(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, name, forbidden)
 
-    stub(bht_arima.diff.reconstruct)
     stub(bht_arima.mdt.inverse_mdt_temporal)
     report = rolling_backtest(BENCH, BENCH_CFG, 0.8, refit=False)
     assert np.isfinite(report.nrmse)
@@ -977,7 +995,7 @@ def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
     cores = rng.standard_normal((*ranks, dx.shape[-1] - start))
     for mode in range(len(ranks)):
         mats = [random_orthonormal(rng, j, r).T for j, r in zip(dx.shape[:-1], ranks)]
-        partial = multi_mode_product(dx[..., start:], mats, skip=mode)
+        partial = _sweep_project(dx[..., start:], mats, skip=mode)
         w = unfold(partial, mode) @ unfold(cores, mode).T
         got = bht_arima.model._factor_basis(partial, cores, mode)
         assert np.array_equal(got, linalg.svd(w).u)
@@ -1113,23 +1131,3 @@ def test_constant_panel_at_d0_forecasts_the_constant(shape):
     assert _compressed_modes(m) == [0]
     assert m.coeffs.ar_fallback
     assert np.max(np.abs(forecast(m, 4).forecasts - 2.5)) < 1e-6
-
-
-# --- bounded streaming state at differencing order 0 ------------------------------
-
-
-def test_reconstruct_tells_order0_streamed_state_from_fitted():
-    x = BENCH[:5]
-    m = fit(x[..., :36], ModelConfig(d=0))
-    # a fitted order-0 state is the whole embedded history
-    assert np.array_equal(reconstruct(m.diff_state), mdt_temporal(x[..., :36], 3))
-    streamed = append_observation(m, x[..., 36]).diff_state
-    assert streamed.bounded and not m.diff_state.bounded
-    with pytest.raises(ValueError, match="bounded"):
-        reconstruct(streamed)
-    # advancing a bounded state keeps it bounded
-    slice_ = np.ones(streamed.slice_shape)
-    for advanced, _ in (extend(streamed, slice_), push_observed(streamed, slice_)):
-        assert advanced.bounded
-        with pytest.raises(ValueError, match="bounded"):
-            reconstruct(advanced)
