@@ -36,7 +36,8 @@ _DEGENERATE_RTOL = 1e-12
 @dataclass(frozen=True)
 class ArimaCoefficients:
     """AR coefficients ``alpha`` (length p) and MA coefficients ``beta``
-    (length q), with diagnostic flags for fallback paths."""
+    (length q), with diagnostic flags for fallback paths: ``ar_fallback``
+    is set whenever ``alpha`` is not the unbiased Yule-Walker solve."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -79,30 +80,39 @@ def _autocovariances(g: np.ndarray, lags: Iterable[int]) -> list[float]:
 def estimate_ar(g: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
     """Yule-Walker AR estimate from a tensor-slice sequence.
 
-    Returns ``(alpha, fallback)``. On a singular or degenerate system, or
-    when the centred sequence's norm is at most ``1e-12`` times the
-    sequence's own, the estimate falls back to the random-walk prior
-    ``(1, 0, ..., 0)`` and the flag is set.
+    Returns ``(alpha, fallback)``. When the solve from the unbiased
+    ``1/(L - k)`` autocovariances is not stationary, it is redone with the
+    biased ``1/L`` ones, whose positive semidefinite Toeplitz matrix gives a
+    causal AR (Brockwell & Davis, *Time Series: Theory and Methods*, 8.1).
+    If that is unstable too, on a singular or degenerate system, or when the
+    centred sequence's norm is at most ``1e-12`` times the sequence's own,
+    the estimate is the random-walk prior ``(1, 0, ..., 0)``. The flag is
+    set whenever the estimate is not the unbiased solve.
     """
     g = _as_sequence(g)
     if p < 0:
         raise ValueError(f"AR order must be >= 0, got {p}")
     if p == 0:
         return np.zeros(0), False
-    if g.shape[-1] <= p:
-        raise ValueError(f"sequence length {g.shape[-1]} must exceed p={p}")
+    n = g.shape[-1]
+    if n <= p:
+        raise ValueError(f"sequence length {n} must exceed p={p}")
     gamma = np.array(_autocovariances(g, range(p + 1)))
     fallback = np.zeros(p)
     fallback[0] = 1.0
     # Centred energy at the rounding level of the sequence's own is no
     # signal (a constant sequence that went through different but equal
     # arithmetic); Yule-Walker would fit the rounding noise.
-    if gamma[0] * g.shape[-1] <= (_DEGENERATE_RTOL * np.linalg.norm(g)) ** 2:
+    if gamma[0] * n <= (_DEGENERATE_RTOL * np.linalg.norm(g)) ** 2:
         return fallback, True
-    try:
-        return linalg.solve_toeplitz(gamma), False
-    except SingularSystemError:
-        return fallback, True
+    for autocov in (gamma, gamma * (n - np.arange(p + 1)) / n):
+        try:
+            alpha = linalg.solve_toeplitz(autocov)
+        except SingularSystemError:
+            return fallback, True
+        if ar_is_stable(alpha):
+            return alpha, autocov is not gamma
+    return fallback, True
 
 
 def estimate_ma(g: np.ndarray, alpha: np.ndarray, q: int) -> tuple[np.ndarray, bool]:
@@ -151,13 +161,15 @@ def estimate_coefficients(g: np.ndarray, p: int, q: int) -> ArimaCoefficients:
         beta=beta,
         ar_fallback=ar_fb,
         ma_fallback=ma_fb,
-        ar_stable=ar_is_stable(alpha),
+        # estimate_ar has already checked an estimate it did not fall back from.
+        ar_stable=not ar_fb or ar_is_stable(alpha),
     )
 
 
 def ar_is_stable(alpha: np.ndarray) -> bool:
     """Whether all roots of ``1 - sum_i alpha_i z^i`` lie outside the unit
-    circle. Diagnostic only; nothing in the pipeline enforces it."""
+    circle. :func:`estimate_ar` returns only such estimates, or the
+    random-walk prior, whose root lies on the circle."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.size == 0 or not np.any(alpha):
         return True

@@ -45,7 +45,9 @@ def difference(s: np.ndarray, d: int) -> DifferencedSeries:
     for _ in range(d):
         tails.append(level[..., -1].copy())
         level = np.diff(level, axis=-1)
-    return DifferencedSeries(order=d, slices=level.copy(), tails=tuple(tails))
+    # np.diff has already made a fresh array; only d = 0 must copy the input.
+    slices = level if d else level.copy()
+    return DifferencedSeries(order=d, slices=slices, tails=tuple(tails))
 
 
 def _integrate(

@@ -2,9 +2,10 @@
 
 ``fit`` runs the full pipeline on an ``(I_1, ..., I_N, T)`` array: temporal
 delay embedding, order-d differencing, then alternating closed-form updates
-of compressed core tensors, orthonormal per-mode factor bases (with an
-unconstrained last mode in relaxed mode), AR/MA coefficients, and shared
-error tensors, until the relative factor change drops below tolerance.
+of compressed core tensors, orthonormal per-mode factor bases, AR/MA
+coefficients, and shared error tensors, until the relative factor change
+drops below tolerance. Relaxed mode then frees the last factor in one
+unconstrained least-squares solve.
 ``forecast`` propagates the core-space recursion and maps predictions back
 through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
@@ -60,7 +61,8 @@ class ModelConfig:
     ``ranks`` has one entry per embedded mode (the N series modes plus the
     window mode of extent ``tau``); ``None`` picks ``ceil(0.8 * J_m)`` for
     the series modes and ``tau`` for the window mode. ``ortho`` is ``"full"``
-    (every factor orthonormal) or ``"relaxed"`` (last mode unconstrained).
+    (every factor orthonormal) or ``"relaxed"`` (the same sweeps, then one
+    unconstrained least-squares solve for the last factor).
     """
 
     p: int = 2
@@ -372,17 +374,16 @@ def update_factor_relaxed(
 ) -> tuple[np.ndarray, bool]:
     """Unconstrained least-squares update of the last-mode factor.
 
-    Builds ``A_t = X_t^(last) @ pinv(U^(-last))`` through per-factor
-    pseudo-inverses (the pseudo-inverse distributes over the Kronecker
-    chain), then solves the normal equations
-    ``(sum_t A_t A_t.T) U = sum_t A_t G_t^(last).T``. A singular Gram sum is
-    ridge-regularized with ``1e-8 * trace / size`` and flagged.
+    Solves ``(sum_t A_t A_t.T) U = sum_t A_t G_t^(last).T`` with ``A_t =
+    X_t^(last) @ pinv(U^(-last))``; a singular Gram sum is ridge-regularized
+    with ``1e-8 * trace / size`` and flagged. The leading factors must have
+    orthonormal columns, possibly followed by zero ones (span coordinates
+    ``[u, 0]``), so the Kronecker chain's pseudo-inverse is its transpose.
     """
     last = len(factors) - 1
     if last < 1:
         raise ValueError("relaxed update needs at least two embedded modes")
-    mats = [linalg.pinv(f.T).T for f in factors[:last]]
-    a_stack = multi_mode_product(xs, mats)
+    a_stack = multi_mode_product(xs, [f.T for f in factors[:last]])
     am = unfold(a_stack, last)
     gm = unfold(cores, last)
     gram = am @ am.T
@@ -439,18 +440,16 @@ def update_error(
     return numerator / (denom_scale * beta[lag]), False
 
 
-def _projectors(
-    factors: list[np.ndarray] | tuple[np.ndarray, ...], relaxed: bool
-) -> list[np.ndarray]:
-    """Per-mode projection matrices mapping slices to cores.
+def _projectors(model: FittedModel) -> list[np.ndarray]:
+    """Per-mode projection matrices mapping a model's slices to cores.
 
     Transposes for orthonormal factors; for the unconstrained last factor of
     relaxed mode the Moore-Penrose inverse, which is the least-squares
     projection and coincides with the transpose exactly when orthonormal.
     """
-    mats = [f.T for f in factors]
-    if relaxed:
-        mats[-1] = linalg.pinv(factors[-1])
+    mats = [f.T for f in model.factors]
+    if model.config.ortho == "relaxed":
+        mats[-1] = linalg.pinv(model.factors[-1])
     return mats
 
 
@@ -471,11 +470,9 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise DataFormatError(f"{what}: non-finite value {x[idx]} at index {idx}")
 
 
-def _orthogonality_defect(
-    factors: list[np.ndarray], n_constrained: int, span: _SpanCoordinates | None
-) -> float:
+def _orthogonality_defect(factors: list[np.ndarray], span: _SpanCoordinates | None) -> float:
     worst = 0.0
-    for mode, f in enumerate(factors[:n_constrained]):
+    for mode, f in enumerate(factors):
         if span is not None and mode == span.mode:
             defect = span.defect(f)
         else:
@@ -510,6 +507,12 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     most one mode takes the compressed one; modes with ``J_m <= K_m`` run
     the dense SVD, and a fit with no compressed mode runs its whole sweep on
     the differenced data itself.
+
+    In relaxed mode the sweeps are the full fit's. Once they stop, one
+    :func:`update_factor_relaxed` solve against the last sweep's cores
+    replaces the last factor, and the cores become the data projected
+    through its pseudo-inverse. Inside every sweep the solve would drift
+    along the scaling ``(U_N c, G / c)`` that leaves the model unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     _require_finite(x, "input data")
@@ -532,8 +535,6 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
     errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
 
-    relaxed = cfg.ortho == "relaxed"
-    n_constrained = n_modes - 1 if relaxed else n_modes
     trace: list[float] = []
     ortho_trace: list[float] = []
     converged = False
@@ -553,7 +554,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     if span_mode is not None:
         span = _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
         factors[span_mode], y, outside = span.initial(factors[span_mode])
-    projectors = _projectors(factors, relaxed)
+    projectors = [f.T for f in factors]
     later = [
         [m for m in range(first, n_modes) if m != span_mode] for first in range(n_modes + 1)
     ]
@@ -564,8 +565,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     # the next sweep's starting cores. The two prefixes are computed
     # separately, not by slicing one, so every mode product sees the same
     # operand shapes and gives the same bits as a fresh projection.
-    cores = _project_modes(y, projectors, later[0])
+    prefix = _project_modes(y, projectors, later[0])
     for _ in range(cfg.max_iter):
+        cores = prefix
         est = estimate_coefficients(cores, p, q)
         previous = [f.copy() for f in factors]
         prefix, partial_prefix = y, y[..., start:]
@@ -580,15 +582,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
                 est.beta,
             )
             cores = new_cores
-            last = mode == n_modes - 1
-            if relaxed and last:
-                data = dx if span is None else span.data
-                factors[mode], used_ridge = update_factor_relaxed(
-                    data[..., start:], cores[..., start:], factors
-                )
-                ridge_used = ridge_used or used_ridge
-                projectors[mode] = linalg.pinv(factors[mode])
-            elif mode == span_mode:
+            if mode == span_mode:
                 # Span coordinates of the data in, span coordinates of the
                 # factor out; then ``y`` and the prefixes follow the factor.
                 partial = _project_modes(span.data[..., start:], projectors, later[0])
@@ -600,19 +594,15 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
                 prefix = _project_modes(y, projectors, range(mode))
                 partial_prefix = _project_modes(y[..., start:], projectors, range(mode))
                 continue
-            else:
-                partial = _project_modes(partial_prefix, projectors, later[mode + 1])
-                factors[mode] = _factor_basis(partial, cores[..., start:], mode)
-                projectors[mode] = factors[mode].T
+            partial = _project_modes(partial_prefix, projectors, later[mode + 1])
+            factors[mode] = _factor_basis(partial, cores[..., start:], mode)
+            projectors[mode] = factors[mode].T
             prefix = mode_product(prefix, projectors[mode], mode)
-            if not last:
+            if mode < n_modes - 1:
                 partial_prefix = mode_product(partial_prefix, projectors[mode], mode)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
-        # The state a further sweep would start from: projections under the
-        # updated factors.
-        cores = prefix
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
         size = sum(float(np.sum(f**2)) for f in factors)
         if span is not None:
@@ -623,10 +613,18 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             outside = 0.0
         delta = change / size
         trace.append(delta)
-        ortho_trace.append(_orthogonality_defect(factors, n_constrained, span))
+        ortho_trace.append(_orthogonality_defect(factors, span))
         if delta < cfg.tol:
             converged = True
             break
+    # ``cores`` holds the last sweep's updated cores and ``prefix`` the
+    # projections under the final factors.
+    if cfg.ortho == "relaxed":
+        data = (dx if span is None else span.data)[..., start:]
+        factors[-1], ridge_used = update_factor_relaxed(data, cores[..., start:], factors)
+        projectors[-1] = linalg.pinv(factors[-1])
+        prefix = _project_modes(y, projectors, later[0])
+    cores = prefix
     if span is not None:
         factors[span_mode] = span.compose(factors[span_mode])
 
@@ -688,7 +686,7 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     factors = list(model.factors)
-    projectors = _projectors(factors, model.config.ortho == "relaxed")
+    projectors = _projectors(model)
     lags = _recent_cores(model.cores, len(model.coeffs.alpha))
     errors = list(model.errors)
     tails = model.diff_state.tails
@@ -739,9 +737,7 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     window = ds.tails[0] if ds.order else ds.slices[..., -1]
     emb_new = np.concatenate([window[..., 1:], new_slice[..., None]], axis=-1)
     tails, d_new = _difference_step(ds.tails, emb_new)
-    g_new = multi_mode_product(
-        d_new, _projectors(model.factors, model.config.ortho == "relaxed")
-    )
+    g_new = multi_mode_product(d_new, _projectors(model))
     errors = list(model.errors)
     p = len(model.coeffs.alpha)
     if errors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bht_arima.coeffs
 from bht_arima.coeffs import (
     MA_FALLBACK,
     ar_is_stable,
@@ -111,6 +112,33 @@ def test_estimate_ar_rounding_level_sequence_falls_back():
         alpha, fallback = estimate_ar(scale * s, 1)
         assert not fallback
         assert abs(alpha[0] - 0.6) < 0.1
+
+
+def _toeplitz_solve(gamma):
+    p = gamma.size - 1
+    lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return np.linalg.solve(gamma[lags], gamma[1:])
+
+
+def test_estimate_ar_resolves_explosive_fit_with_biased_autocovariances():
+    # twelve white-noise values: the unbiased 1/(L - k) autocovariances give
+    # an explosive AR(5), the biased 1/L ones a stationary one
+    g = np.random.default_rng(0).standard_normal(12)
+    gamma = np.array([autocovariance(g, k) for k in range(6)])
+    assert not ar_is_stable(_toeplitz_solve(gamma))
+    alpha, fallback = estimate_ar(g, 5)
+    assert fallback
+    assert ar_is_stable(alpha)
+    assert np.allclose(alpha, _toeplitz_solve(gamma * (12 - np.arange(6)) / 12))
+    est = estimate_coefficients(g, 5, 1)
+    assert est.ar_fallback and est.ar_stable
+
+
+def test_estimate_ar_unstable_resolve_falls_back_to_random_walk(monkeypatch):
+    monkeypatch.setattr(bht_arima.coeffs, "ar_is_stable", lambda alpha: False)
+    alpha, fallback = estimate_ar(simulate_ar([0.5], 200, seed=7), 3)
+    assert fallback
+    assert np.array_equal(alpha, [1.0, 0.0, 0.0])
 
 
 def test_estimate_ar_order_zero():
