@@ -233,7 +233,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         "--ortho", choices=("full", "relaxed"), default="full",
         help="orthogonality mode (default full)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="seed echoed in reports; fits start from the data and read no seed (default 0)",
+    )
 
 
 def _model_config(args: argparse.Namespace) -> ModelConfig:

@@ -4,8 +4,8 @@ Autoregressive coefficients come from the Yule-Walker equations applied to
 inner-product autocovariances of centered slices, which reduces exactly to
 the classical scalar estimator when slices are scalars. Moving-average
 coefficients come from regressing lag-``p`` residual tensors on their own
-lags (an innovations-by-regression approximation), solved in vectorized
-least-squares form.
+lags (an innovations-by-regression approximation), solved through the
+``q x q`` normal equations of residual inner products.
 """
 
 from __future__ import annotations
@@ -118,12 +118,13 @@ def estimate_ar(g: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
 def estimate_ma(g: np.ndarray, alpha: np.ndarray, q: int) -> tuple[np.ndarray, bool]:
     """MA estimate by regressing AR residual tensors on their own lags.
 
-    Residuals ``r_t = g_t - sum_i alpha_i g_{t-i}`` are stacked into a
-    vectorized regression of ``r_t`` on ``r_{t-1}..r_{t-q}``, whose normal
-    equations are the inner products of residual slices. Returns
-    ``(beta, fallback)``; near-zero residuals trigger the constant fallback
-    ``MA_FALLBACK`` per coefficient so downstream error updates stay
-    well-posed.
+    Residuals ``r_t = g_t - sum_i alpha_i g_{t-i}`` are regressed on
+    ``r_{t-1}..r_{t-q}`` through the ``q x q`` normal equations, whose
+    entries are inner products of lagged residual slices; a minimum-norm
+    least-squares solve of them keeps a singular Gram well-defined. Returns
+    ``(beta, fallback)``; near-zero residuals or a non-finite solve give the
+    constant fallback ``MA_FALLBACK`` per coefficient, so downstream error
+    updates stay well-posed.
     """
     g = _as_sequence(g)
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -141,12 +142,10 @@ def estimate_ma(g: np.ndarray, alpha: np.ndarray, q: int) -> tuple[np.ndarray, b
     if np.linalg.norm(resid) <= _DEGENERATE_RTOL * max(1.0, np.linalg.norm(g)):
         return np.full(q, MA_FALLBACK), True
     n_r = resid.shape[-1]
-    rows = n_r - q
-    design = np.empty((rows * int(np.prod(resid.shape[:-1])), q))
-    for j in range(1, q + 1):
-        design[:, j - 1] = resid[..., q - j : n_r - j].flatten(order="F")
-    target = resid[..., q:].flatten(order="F")
-    beta = linalg.lstsq(design, target)
+    lagged = [resid[..., q - j : n_r - j] for j in range(1, q + 1)]
+    gram = np.array([[np.sum(a * b) for b in lagged] for a in lagged])
+    rhs = np.array([np.sum(a * resid[..., q:]) for a in lagged])
+    beta = linalg.lstsq(gram, rhs)
     if not np.all(np.isfinite(beta)):
         return np.full(q, MA_FALLBACK), True
     return beta, False

@@ -16,7 +16,8 @@ window, so a streaming step costs the same whatever the history length.
 ``d`` tails and the newest difference. Only ``fit`` returns the full core
 history.
 
-Everything is deterministic given the input, the configuration, and the seed.
+Everything is deterministic given the input and the configuration; no
+random draw enters a fit.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ BETA_GUARD = 1e-8
 _COND_LIMIT = 1e12
 
 
+def _is_integer(value: object) -> bool:
+    """Python or numpy integer; ``bool`` is not taken for one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters for :func:`fit`.
@@ -62,7 +68,11 @@ class ModelConfig:
     window mode of extent ``tau``); ``None`` picks ``ceil(0.8 * J_m)`` for
     the series modes and ``tau`` for the window mode. ``ortho`` is ``"full"``
     (every factor orthonormal) or ``"relaxed"`` (the same sweeps, then one
-    unconstrained least-squares solve for the last factor).
+    unconstrained least-squares solve for the last factor). ``p``, ``d``,
+    ``q``, ``tau``, ``max_iter``, ``seed`` and every rank must be Python or
+    numpy integers; they are stored as ``int``. ``seed`` does not enter the
+    fit, which starts from the data alone; it is kept for the run
+    specification that reports echo.
     """
 
     p: int = 2
@@ -76,18 +86,20 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("p", "d", "q", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name, low in (("p", 0), ("d", 0), ("q", 0), ("tau", 1), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.ortho not in ("full", "relaxed"):
             raise ConfigError(f"ortho must be 'full' or 'relaxed', got {self.ortho!r}")
         if self.ranks is not None:
+            if not all(_is_integer(r) for r in self.ranks):
+                raise ConfigError(f"ranks must be integers, got {self.ranks!r}")
             object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
 
     @property
@@ -106,7 +118,7 @@ class ModelConfig:
             )
         for r, j in zip(self.ranks, embedded_shape):
             if not 1 <= r <= j:
-                raise ConfigError(f"rank {r} outside [1, {j}] for extent {j}")
+                raise ConfigError(f"rank {r} not in [1, {j}] for extent {j}")
         return self.ranks
 
     def validate_for(self, data_shape: tuple[int, ...]) -> None:
@@ -278,11 +290,12 @@ class _SpanCoordinates:
     K, 0)`` columns) the mode's factor is ``U = [Q u, C]`` for a ``K x
     min(K, R)`` rotation ``u``. The fit holds it as its span coordinates
     ``f = Q.T U = [u, 0]`` (``K x R``) and composes ``U`` only for the
-    returned model. Every mode-``mode`` fibre of the objective range lies in
-    range(Q), so there ``U.T`` acts as ``[u.T; 0]`` on ``Q.T X``; on the
-    ``start`` head slices it gives ``[u.T Q.T h; C.T h]``. Both pieces,
-    ``data = Q.T dx`` and ``fixed`` (``C.T h`` on the head, zero on the
-    rest), are computed once per fit.
+    returned model. It starts at ``[u0, 0]``, with ``u0`` the leading left
+    singular vectors of ``Q.T X``. Every mode-``mode`` fibre of the
+    objective range lies in range(Q), so there ``U.T`` acts as ``[u.T; 0]``
+    on ``Q.T X``; on the ``start`` head slices it gives ``[u.T Q.T h; C.T
+    h]``. Both pieces, ``data = Q.T dx`` and ``fixed`` (``C.T h`` on the
+    head, zero on the rest), are computed once per fit.
     """
 
     def __init__(
@@ -293,11 +306,10 @@ class _SpanCoordinates:
         basis: np.ndarray,
         complement: np.ndarray,
     ) -> None:
-        self.mode, self.start = mode, start
+        self.mode = mode
         self.basis, self.complement = basis, complement
-        self.head = dx[..., :start]
         self.data = mode_product(dx, basis.T, mode)
-        head = mode_product(self.head, complement.T, mode)
+        head = mode_product(dx[..., :start], complement.T, mode)
         body = np.zeros((*head.shape[:-1], dx.shape[-1] - start))
         self.fixed = np.concatenate([head, body], axis=-1)
         # One Gram of [Q, C] per fit serves every sweep's orthogonality
@@ -307,33 +319,6 @@ class _SpanCoordinates:
         excess = complement.T @ complement
         excess[np.diag_indices_from(excess)] -= 1.0
         self.complement_defect = float(np.sum(excess**2))
-        self.complement_norm = float(np.sum(complement**2))
-
-    def initial(self, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Bring the seeded initial factor ``U0`` (``J x R``) in once.
-
-        Returns its span coordinates ``Q.T U0``, the data projected on it
-        (``U0.T h`` on the head slices, ``(U0.T Q) Q.T X`` on the rest) and
-        the squared norm of its part that the span coordinates miss,
-        ``||(U0 - Q Q.T U0) - [0, C]||^2``, which the first sweep's factor
-        change adds (the complement is orthogonal to ``Q``).
-        """
-        coords = self.basis.T @ factor
-        projected = np.concatenate(
-            [
-                mode_product(self.head, factor.T, self.mode),
-                mode_product(self.data[..., self.start :], coords.T, self.mode),
-            ],
-            axis=-1,
-        )
-        n_c = self.complement.shape[1]
-        outside = (
-            float(np.sum(factor**2))
-            - float(np.sum(coords**2))
-            + self.complement_norm
-            - 2.0 * float(np.sum(factor[:, factor.shape[1] - n_c :] * self.complement))
-        )
-        return coords, projected, outside
 
     def coordinates(self, rotation: np.ndarray) -> np.ndarray:
         """Span coordinates ``[u, 0]`` of the factor with rotation ``u``."""
@@ -485,28 +470,24 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     """Fit the model to an ``(I_1, ..., I_N, T)`` array (time last).
 
     Runs delay embedding with window ``cfg.tau``, order-``cfg.d``
-    differencing, seeded random orthonormal factor initialization, then up to
-    ``cfg.max_iter`` alternating update sweeps with a relative-factor-change
-    stopping rule. The returned model stores the final projections of every
-    differenced slice together with coefficients re-estimated from them, so
-    its state is self-consistent under the converged factors.
+    differencing, then up to ``cfg.max_iter`` alternating update sweeps with
+    a relative-factor-change stopping rule. The sweeps start from the data
+    alone: each factor from the leading left singular vectors of the data's
+    unfolding over the objective's range (the truncated HOSVD), and the
+    error tensors from zero, so ``cfg.seed`` does not enter the fit. The
+    returned model stores the final projections of every differenced slice
+    together with coefficients re-estimated from them, so its state is
+    self-consistent under the converged factors.
 
-    The differenced slices form a block Hankel tensor, so a series mode of
-    extent ``J_m`` holds at most ``K_m = (product of the other series
-    extents) * (n_t + tau - 1)`` distinct columns over the objective's range
-    (``n_t = n_diff - p - q`` slices). When ``J_m > K_m``, one QR of those
-    columns per fit gives the mode's span ``Q`` and a fixed complement
-    ``C`` (see :func:`_hankel_spans`), and the whole fit runs in span
-    coordinates (see :class:`_SpanCoordinates`): the data are projected on
-    ``Q`` once, the factor is held as its ``K_m x min(K_m, R_m)`` rotation
-    ``u``, each sweep takes an SVD of at most ``K_m x K_m`` (see
-    :func:`_factor_basis`), and ``[Q u, C]`` is composed only for the
-    returned model. The factor's null-space columns stay put between
-    sweeps, so the stopping rule sees only real motion and such fits
-    converge. Which path a mode takes follows from the shapes alone, and at
-    most one mode takes the compressed one; modes with ``J_m <= K_m`` run
-    the dense SVD, and a fit with no compressed mode runs its whole sweep on
-    the differenced data itself.
+    A series mode with more series ``J_m`` than distinct block-Hankel
+    columns ``K_m`` (see :func:`_hankel_spans`; at most one mode, decided by
+    the shapes alone) runs in span coordinates (see
+    :class:`_SpanCoordinates`): the data are projected on the span once,
+    each sweep takes an SVD of at most ``K_m x K_m`` (see
+    :func:`_factor_basis`), and the factor's fixed null-space columns leave
+    the stopping rule only real motion, so such fits converge. The other
+    modes take the dense SVD, and a fit with no compressed mode runs its
+    whole sweep on the differenced data itself.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -531,15 +512,16 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     start = p + q
 
     spans = _hankel_spans(dx, start, ranks)
-    rng = np.random.default_rng(cfg.seed)
-    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
-    errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
-
+    span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
+    span = None if span_mode is None else _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
+    # The truncated HOSVD: the sweep's basis rule with the data standing in
+    # for the cores, in span coordinates on the compressed mode.
+    base = (dx if span is None else span.data)[..., start:]
+    factors = [_factor_basis(base, base, mode)[:, :r] for mode, r in enumerate(ranks)]
+    errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
-    converged = False
-    ridge_used = False
-    err_skipped = False
+    converged = ridge_used = err_skipped = False
 
     # ``y`` is the data with the compressed mode, if any, projected on its
     # current factor: ``factors`` holds that mode's span coordinates, and
@@ -547,13 +529,10 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     # from ``m`` on but that one), so its ``projectors`` entry, the
     # transposed span coordinates, is never read. Without a compressed mode
     # ``y`` is ``dx``.
-    span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
-    span = None
     y = dx
-    outside = 0.0
-    if span_mode is not None:
-        span = _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
-        factors[span_mode], y, outside = span.initial(factors[span_mode])
+    if span is not None:
+        factors[span_mode] = span.coordinates(factors[span_mode])
+        y = span.project(factors[span_mode])
     projectors = [f.T for f in factors]
     later = [
         [m for m in range(first, n_modes) if m != span_mode] for first in range(n_modes + 1)
@@ -603,15 +582,11 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
+        # In span coordinates U - U_prev = Q (f - f_prev), with the same norm.
+        # Every factor is orthonormal, so ||U||^2 summed over the modes is
+        # sum(ranks).
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
-        size = sum(float(np.sum(f**2)) for f in factors)
-        if span is not None:
-            # U - U_prev = Q (f - f_prev) plus, in the first sweep only, the
-            # part of the initial factor that its span coordinates miss.
-            change += outside
-            size += span.complement_norm
-            outside = 0.0
-        delta = change / size
+        delta = change / sum(ranks)
         trace.append(delta)
         ortho_trace.append(_orthogonality_defect(factors, span))
         if delta < cfg.tol:

@@ -166,6 +166,32 @@ def test_estimate_ma_recovers_regression_coefficient():
     assert abs(beta[0] - 0.4) < 0.1
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_estimate_ma_matches_the_stacked_regression(q):
+    # oracle: the (rows * slice size) x q design of lagged residual slices,
+    # solved by a dense least-squares fit
+    rng = np.random.default_rng(20 + q)
+    g = rng.standard_normal((4, 3, 30))
+    alpha = np.array([0.5, -0.2])
+    beta, fallback = estimate_ma(g, alpha, q)
+    resid = g[..., 2:] - 0.5 * g[..., 1:-1] + 0.2 * g[..., :-2]
+    n_r = resid.shape[-1]
+    design = np.stack(
+        [resid[..., q - j : n_r - j].ravel() for j in range(1, q + 1)], axis=1
+    )
+    want = np.linalg.lstsq(design, resid[..., q:].ravel(), rcond=None)[0]
+    assert not fallback
+    assert np.max(np.abs(beta - want)) < 1e-10
+
+
+def test_estimate_ma_singular_gram_takes_the_min_norm_solution():
+    # constant residuals make every lag the same regressor: the normal
+    # equations are singular, and the minimum-norm answer splits the weight
+    beta, fallback = estimate_ma(np.full((2, 10), 3.0), np.zeros(0), 2)
+    assert not fallback
+    assert np.max(np.abs(beta - 0.5)) < 1e-12
+
+
 def test_estimate_ma_order_zero():
     beta, fallback = estimate_ma(np.ones(5), np.zeros(0), 0)
     assert beta.size == 0 and not fallback

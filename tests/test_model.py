@@ -50,6 +50,36 @@ def test_config_rejects_bad_fields():
         ModelConfig(max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p", 1.5),
+        ("d", 1.0),
+        ("q", True),
+        ("tau", 2.0),
+        ("max_iter", 2.5),
+        ("seed", np.float64(3.0)),
+        ("seed", False),
+        ("ranks", (2.7, 3)),
+        ("ranks", (4, np.True_)),
+    ],
+)
+def test_config_rejects_non_integral_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = ModelConfig(
+        p=np.int64(2), d=np.int32(1), q=np.int8(1), tau=np.int64(3),
+        ranks=(np.int64(4), np.int16(3)), max_iter=np.int64(5), seed=np.uint8(7),
+    )
+    # stored as int, so no fixed-width numpy arithmetic can overflow
+    assert cfg.ranks == (4, 3) and all(type(r) is int for r in cfg.ranks)
+    assert all(type(getattr(cfg, f)) is int for f in ("p", "d", "q", "tau", "max_iter", "seed"))
+    assert fit(BENCH[:4], cfg).iterations_used <= 5
+
+
 def test_config_validates_against_data():
     cfg = ModelConfig(p=2, d=1, q=1, tau=5)
     with pytest.raises(ConfigError):
@@ -237,10 +267,8 @@ def test_fit_constant_input_zero_cores():
     m = fit(x, cfg)
     assert np.max(np.abs(m.cores)) < 1e-12
     assert m.coeffs.ar_fallback and m.coeffs.ma_fallback
-    # forecasts stay at the constant up to the residue the fallback-beta
-    # error state retains from its random initialization
     result = forecast(m, 4)
-    assert np.max(np.abs(result.forecasts - 3.5)) < 1e-6
+    assert np.max(np.abs(result.forecasts - 3.5)) < 1e-12
 
 
 def test_fit_full_rank_lossless():
@@ -277,6 +305,33 @@ def test_fit_deterministic():
     r1 = forecast(m1, 3)
     r2 = forecast(m2, 3)
     assert np.array_equal(r1.forecasts, r2.forecasts)
+
+
+@pytest.mark.parametrize(
+    "shape, compressed", [((20, 40), []), ((50, 12), [0])], ids=["dense", "compressed"]
+)
+def test_fit_does_not_read_the_seed(shape, compressed):
+    # Every fit starts from its own data, so the seed changes nothing.
+    x = synth_dataset("sinusoid-mixture", *shape, 0.05, seed=7)
+    m0 = fit(x, ModelConfig(seed=0))
+    m7 = fit(x, ModelConfig(seed=7))
+    assert _compressed_modes(m0) == compressed
+    for name in ("factors", "errors"):
+        a, b = getattr(m0, name), getattr(m7, name)
+        assert len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b)), name
+    for name in ("cores", "trace", "ortho_trace"):
+        assert np.array_equal(getattr(m0, name), getattr(m7, name)), name
+    assert np.array_equal(forecast(m0, 4).forecasts, forecast(m7, 4).forecasts)
+
+
+@pytest.mark.parametrize(
+    "shape, compressed", [((20, 40), []), ((50, 12), [0])], ids=["dense", "compressed"]
+)
+def test_all_zero_panel_forecasts_exactly_zero(shape, compressed):
+    m = fit(np.zeros(shape), ModelConfig())
+    assert _compressed_modes(m) == compressed
+    assert not any(np.any(e) for e in m.errors)
+    assert np.array_equal(forecast(m, 4).forecasts, np.zeros((shape[0], 4)))
 
 
 def test_fit_shape_laws():
@@ -685,9 +740,18 @@ def oracle_fit(x, cfg):
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
     spans = [_oracle_span(dx, start, m, ranks[m]) for m in range(n_modes - 1)] + [None]
-    rng = np.random.default_rng(cfg.seed)
-    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
-    errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
+    # The truncated HOSVD of the objective's range, inside the span on a
+    # compressed mode, and zero error tensors.
+    factors = []
+    for mode, r in enumerate(ranks):
+        if spans[mode] is None:
+            w = unfold(dx[..., start:], mode) @ unfold(dx[..., start:], mode).T
+            factors.append(linalg.svd(w).u[:, :r])
+            continue
+        span, complement = spans[mode]
+        small = span.T @ unfold(dx[..., start:], mode)
+        factors.append(np.hstack([span @ linalg.svd(small @ small.T).u[:, :r], complement]))
+    errors = [np.zeros(ranks) for _ in range(q)]
     trace, ortho_trace = [], []
     converged = ridge_used = err_skipped = False
     for _ in range(cfg.max_iter):
@@ -716,7 +780,7 @@ def oracle_fit(x, cfg):
             err_skipped = err_skipped or skipped
         delta = sum(
             float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous)
-        ) / sum(float(np.sum(f**2)) for f in factors)
+        ) / sum(ranks)
         trace.append(delta)
         ortho_trace.append(max(
             float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors
@@ -762,9 +826,6 @@ def span_oracle_fit(x, cfg):
     (c,) = [m for m, span in enumerate(spans) if span is not None]
     basis, complement = spans[c]
     k, n_c = basis.shape[1], complement.shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(emb_shape, ranks)]
-    errors = [1e-2 * rng.standard_normal(ranks) for _ in range(q)]
 
     data = mode_product(dx, basis.T, c)
     head = mode_product(dx[..., :start], complement.T, c)
@@ -772,19 +833,16 @@ def span_oracle_fit(x, cfg):
     gram_span = np.hstack([basis.T @ basis, basis.T @ complement])
     excess = complement.T @ complement - np.eye(n_c)
     gram_defect = float(np.sum(excess**2))
-    complement_norm = float(np.sum(complement**2))
-    # The seeded initial factor: its span coordinates, the data projected on
-    # it, and the part of the first sweep's factor change outside the span.
-    initial = factors[c]
-    factors[c] = basis.T @ initial
-    y = np.concatenate([
-        mode_product(dx[..., :start], initial.T, c),
-        mode_product(data[..., start:], factors[c].T, c),
-    ], axis=-1)
-    outside = (
-        float(np.sum(initial**2)) - float(np.sum(factors[c] ** 2)) + complement_norm
-        - 2.0 * float(np.sum(initial[:, initial.shape[1] - n_c:] * complement))
-    )
+    # The truncated HOSVD of the objective's range in span coordinates, the
+    # compressed mode's start [u0, 0], and zero error tensors.
+    factors = []
+    for mode, r in enumerate(ranks):
+        w = unfold(data[..., start:], mode) @ unfold(data[..., start:], mode).T
+        factors.append(linalg.svd(w).u[:, :r])
+    u0 = factors[c]
+    factors[c] = np.hstack([u0, np.zeros((k, n_c))])
+    y = np.concatenate([mode_product(data, u0.T, c), fixed], axis=c)
+    errors = [np.zeros(ranks) for _ in range(q)]
 
     def project(t, skip=(), relaxed=False):
         mats = _sweep_projectors(factors, relaxed)
@@ -826,9 +884,7 @@ def span_oracle_fit(x, cfg):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
-        size = sum(float(np.sum(f**2)) for f in factors)
-        delta = (change + outside) / (size + complement_norm)
-        outside = 0.0
+        delta = change / sum(ranks)
         trace.append(delta)
         defects = []
         for mode, f in enumerate(factors):
@@ -1113,17 +1169,19 @@ def test_trend_panel_forecasts_continue_the_trend(shape):
     assert np.max(np.abs(forecast(m, 4).forecasts - panel[:, length:])) < 1e-6
 
 
-@pytest.mark.parametrize("shape", [(50, 12), (300, 40)], ids=["50x12", "300x40"])
-def test_constant_panel_at_d0_forecasts_the_constant(shape):
+@pytest.mark.parametrize(
+    "shape, compressed",
+    [((50, 12), [0]), ((300, 40), [0]), ((5, 40), [])],
+    ids=["50x12", "300x40", "5x40"],
+)
+def test_constant_panel_at_d0_forecasts_the_constant(shape, compressed):
     # In span coordinates the head slices and the rest take different
     # arithmetic, so a constant panel's cores are equal only to rounding;
-    # the AR estimate must still fall back. (Without a compressed mode the
-    # random initial error tensors still leak into such forecasts: ROADMAP
-    # item 3.)
+    # the AR estimate must still fall back.
     m = fit(np.full(shape, 2.5), ModelConfig(d=0))
-    assert _compressed_modes(m) == [0]
+    assert _compressed_modes(m) == compressed
     assert m.coeffs.ar_fallback
-    assert np.max(np.abs(forecast(m, 4).forecasts - 2.5)) < 1e-6
+    assert np.max(np.abs(forecast(m, 4).forecasts - 2.5)) < 1e-12
 
 
 # --- relaxed mode: the full-mode sweep plus one closing last-factor solve ------
