@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelConfig, append_observation, fit, forecast
+from .model import ModelConfig, _is_integer, _require_finite, append_observation, fit, forecast
 from .tensor import frobenius_norm
 
 __all__ = [
@@ -145,9 +145,10 @@ def rolling_backtest(
     observations are appended between steps, and the model is refit at every
     step unless ``refit=False`` (then a single fitted model advances without
     refitting). With ``horizon > 1``, one model is fit on the prefix and
-    forecasts the next ``horizon`` slices recursively. A scored slice with
-    zero norm, against which NRMSE is undefined, raises ``ConfigError``
-    before any fit.
+    forecasts the next ``horizon`` slices recursively. Before any fit, a
+    non-finite value anywhere in ``x`` raises ``DataFormatError``, and a
+    scored slice with zero norm, against which NRMSE is undefined,
+    ``ConfigError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 < train_fraction < 1.0:
@@ -157,11 +158,13 @@ def rolling_backtest(
     n_test = t_len - n_train
     if n_test < 1:
         raise ConfigError("empty test region; lower train_fraction")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if not _is_integer(horizon) or horizon < 1:
+        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     if horizon > n_test:
         raise ConfigError(f"horizon {horizon} exceeds test region of {n_test} slices")
-    # NRMSE is undefined against a zero-norm slice; refuse before any fit.
+    # Refuse before any fit: a non-finite value anywhere would reach the
+    # score, and NRMSE is undefined against a zero-norm slice.
+    _require_finite(x, "panel")
     for k in range(n_train, n_train + (n_test if horizon == 1 else horizon)):
         if frobenius_norm(x[..., k]) == 0.0:
             raise ConfigError(
@@ -211,13 +214,16 @@ def synth_dataset(
     series driven by a shared AR(2) with coefficients ``AR2_COEFFS``;
     ``noise`` is the innovation standard deviation. ``random-walk``:
     cumulative sums of Gaussian steps of standard deviation ``noise``.
+    ``noise`` must be finite and nonnegative, ``seed`` a nonnegative integer.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {SYNTH_KINDS}")
     if n_series < 1 or length < 1:
         raise ValueError("n_series and length must be >= 1")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     if kind == "sinusoid-mixture":
         periods = rng.uniform(8.0, 20.0, size=3)

@@ -1,9 +1,9 @@
 """Dense linear-algebra primitives used by the model updates.
 
 Thin, contract-checked wrappers around LAPACK-backed numpy routines: thin
-SVD, Moore-Penrose pseudo-inverse and minimum-norm least squares, plus a
-Levinson solver for the symmetric Toeplitz (Yule-Walker) system. Only numpy
-is needed. All routines are deterministic for a fixed input.
+SVD, Moore-Penrose pseudo-inverse, minimum-norm least squares and the small
+symmetric Toeplitz (Yule-Walker) solve. Only numpy is needed. All routines
+are deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -63,12 +63,9 @@ def solve_toeplitz(gamma: np.ndarray) -> np.ndarray:
 
     ``gamma`` holds autocovariances ``gamma_0..gamma_p``; the returned vector
     ``alpha`` of length ``p`` solves ``R alpha = r`` with ``R[i, j] =
-    gamma[|i - j|]`` and ``r[i] = gamma[i + 1]``.
-
-    A port of the Levinson recursion behind ``scipy.linalg.solve_toeplitz``
-    (Alan Miller's ``toeplitz.f90``) that performs the same floating-point
-    operations in the same order, so it matches scipy bit for bit. A zero
-    pivot raises :class:`SingularSystemError`.
+    gamma[|i - j|]`` and ``r[i] = gamma[i + 1]``, by an LU solve of the
+    explicit ``p x p`` matrix. A singular system raises
+    :class:`SingularSystemError`.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.ndim != 1 or gamma.size < 2:
@@ -77,52 +74,12 @@ def solve_toeplitz(gamma: np.ndarray) -> np.ndarray:
         raise SingularSystemError("non-finite autocovariances")
     if gamma[0] <= 0:
         raise SingularSystemError(f"gamma_0 must be positive, got {gamma[0]}")
-    n = gamma.size - 1
-    # a: the first row reversed (without the diagonal), then the first
-    # column; a[n - 1] = gamma_0 is the diagonal.
-    a = np.concatenate((gamma[n - 1 : 0 : -1], gamma[:n])).tolist()
-    b = gamma[1:].tolist()
-    x = [0.0] * n
-    g = [0.0] * n
-    h = [0.0] * n
-    x[0] = b[0] / a[n - 1]
-    if n > 1:
-        g[0] = a[n - 2] / a[n - 1]
-        h[0] = a[n] / a[n - 1]
-    for m in range(1, n):
-        x_num = -b[m]
-        x_den = -a[n - 1]
-        for j in range(m):
-            x_num = x_num + a[n + m - j - 1] * x[j]
-            x_den = x_den + a[n + m - j - 1] * g[m - j - 1]
-        if x_den == 0:
-            raise SingularSystemError("singular Yule-Walker system")
-        x[m] = x_num / x_den
-        for j in range(m):
-            x[j] = x[j] - x[m] * g[m - j - 1]
-        if m == n - 1:
-            break
-        g_num = -a[n - m - 2]
-        h_num = -a[n + m]
-        g_den = -a[n - 1]
-        for j in range(m):
-            g_num = g_num + a[n + j - m - 1] * g[j]
-            h_num = h_num + a[n + m - j - 1] * h[j]
-            g_den = g_den + a[n + j - m - 1] * h[m - j - 1]
-        if g_den == 0:
-            raise SingularSystemError("singular Yule-Walker system")
-        g[m] = g_num / g_den
-        h[m] = h_num / x_den
-        c1, c2 = g[m], h[m]
-        k = m - 1
-        for j in range((m + 1) // 2):
-            gj, gk, hj, hk = g[j], g[k], h[j], h[k]
-            g[j] = gj - c1 * hk
-            g[k] = gk - c1 * hj
-            h[j] = hj - c2 * gk
-            h[k] = hk - c2 * gj
-            k -= 1
-    alpha = np.array(x)
+    lags = np.arange(gamma.size - 1)
+    toeplitz = gamma[np.abs(lags[:, None] - lags[None, :])]
+    try:
+        alpha = np.linalg.solve(toeplitz, gamma[1:])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("singular Yule-Walker system") from exc
     if not np.all(np.isfinite(alpha)):
         raise SingularSystemError("Yule-Walker solve produced non-finite values")
     return alpha

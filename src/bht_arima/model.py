@@ -23,7 +23,7 @@ random draw enters a fit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Container
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -438,12 +438,11 @@ def _projectors(model: FittedModel) -> list[np.ndarray]:
     return mats
 
 
-def _project_modes(
-    t: np.ndarray, projectors: list[np.ndarray], modes: Iterable[int]
-) -> np.ndarray:
-    """Apply ``projectors[mode]`` on each of ``modes``, in order."""
-    for mode in modes:
-        t = mode_product(t, projectors[mode], mode)
+def _project(t: np.ndarray, factors: list[np.ndarray], skip: Container[int]) -> np.ndarray:
+    """``t`` times ``f.T`` on every mode not in ``skip``, in mode order."""
+    for mode, f in enumerate(factors):
+        if mode not in skip:
+            t = mode_product(t, f.T, mode)
     return t
 
 
@@ -514,71 +513,53 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     spans = _hankel_spans(dx, start, ranks)
     span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
     span = None if span_mode is None else _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
-    # The truncated HOSVD: the sweep's basis rule with the data standing in
-    # for the cores, in span coordinates on the compressed mode.
-    base = (dx if span is None else span.data)[..., start:]
-    factors = [_factor_basis(base, base, mode)[:, :r] for mode, r in enumerate(ranks)]
+    # ``data`` is the objective's range, in span coordinates on the
+    # compressed mode; the factors start from its truncated HOSVD, the
+    # sweep's basis rule with the data standing in for the cores.
+    data = (dx if span is None else span.data)[..., start:]
+    factors = [_factor_basis(data, data, mode)[:, :r] for mode, r in enumerate(ranks)]
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
     converged = ridge_used = err_skipped = False
 
     # ``y`` is the data with the compressed mode, if any, projected on its
-    # current factor: ``factors`` holds that mode's span coordinates, and
-    # every projection chain below skips it (``later[m]`` lists the modes
-    # from ``m`` on but that one), so its ``projectors`` entry, the
-    # transposed span coordinates, is never read. Without a compressed mode
-    # ``y`` is ``dx``.
+    # current factor, whose span coordinates ``factors`` holds and every
+    # projection below skips; without one ``y`` is ``dx``. ``prefix`` is
+    # ``y`` projected on the modes already updated in this sweep: at the end
+    # of a sweep, the next sweep's cores.
     y = dx
     if span is not None:
         factors[span_mode] = span.coordinates(factors[span_mode])
         y = span.project(factors[span_mode])
-    projectors = [f.T for f in factors]
-    later = [
-        [m for m in range(first, n_modes) if m != span_mode] for first in range(n_modes + 1)
-    ]
-
-    # Projections reuse work: ``prefix`` and ``partial_prefix`` carry ``y``
-    # (all of it, and the objective's range ``start:``) projected on the
-    # modes already updated in this sweep, and the fully advanced prefix is
-    # the next sweep's starting cores. The two prefixes are computed
-    # separately, not by slicing one, so every mode product sees the same
-    # operand shapes and gives the same bits as a fresh projection.
-    prefix = _project_modes(y, projectors, later[0])
+    prefix = _project(y, factors, {span_mode})
     for _ in range(cfg.max_iter):
         cores = prefix
         est = estimate_coefficients(cores, p, q)
         previous = [f.copy() for f in factors]
-        prefix, partial_prefix = y, y[..., start:]
+        prefix = y
         for mode in range(n_modes):
-            projection = _project_modes(prefix, projectors, later[mode]) if mode else cores
-            new_cores = projection.copy()
-            new_cores[..., start:] = update_core(
+            # In place; at mode 0 this is ``cores``, whose lags are read first.
+            projection = _project(prefix, factors, {*range(mode), span_mode}) if mode else cores
+            projection[..., start:] = update_core(
                 projection[..., start:],
                 [cores[..., start - i : n_diff - i] for i in range(1, p + 1)],
                 [e[..., None] for e in errors],
                 est.alpha,
                 est.beta,
             )
-            cores = new_cores
+            cores = projection
             if mode == span_mode:
                 # Span coordinates of the data in, span coordinates of the
-                # factor out; then ``y`` and the prefixes follow the factor.
-                partial = _project_modes(span.data[..., start:], projectors, later[0])
-                factors[mode] = span.coordinates(
-                    _factor_basis(partial, cores[..., start:], mode)
-                )
-                projectors[mode] = factors[mode].T
+                # factor out; then ``y`` and ``prefix`` follow the factor.
+                partial = _project(data, factors, {mode})
+                factors[mode] = span.coordinates(_factor_basis(partial, cores[..., start:], mode))
                 y = span.project(factors[mode])
-                prefix = _project_modes(y, projectors, range(mode))
-                partial_prefix = _project_modes(y[..., start:], projectors, range(mode))
+                prefix = _project(y, factors, range(mode, n_modes))
                 continue
-            partial = _project_modes(partial_prefix, projectors, later[mode + 1])
+            partial = _project(y[..., start:], factors, {mode, span_mode})
             factors[mode] = _factor_basis(partial, cores[..., start:], mode)
-            projectors[mode] = factors[mode].T
-            prefix = mode_product(prefix, projectors[mode], mode)
-            if mode < n_modes - 1:
-                partial_prefix = mode_product(partial_prefix, projectors[mode], mode)
+            prefix = mode_product(prefix, factors[mode].T, mode)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
@@ -595,10 +576,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     # ``cores`` holds the last sweep's updated cores and ``prefix`` the
     # projections under the final factors.
     if cfg.ortho == "relaxed":
-        data = (dx if span is None else span.data)[..., start:]
         factors[-1], ridge_used = update_factor_relaxed(data, cores[..., start:], factors)
-        projectors[-1] = linalg.pinv(factors[-1])
-        prefix = _project_modes(y, projectors, later[0])
+        head = _project(y, factors, {n_modes - 1, span_mode})
+        prefix = mode_product(head, linalg.pinv(factors[-1]), n_modes - 1)
     cores = prefix
     if span is not None:
         factors[span_mode] = span.compose(factors[span_mode])
@@ -658,8 +638,8 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
     the ``d`` differencing tails are read, so a step costs the same whatever
     the length of the history.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not _is_integer(horizon) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     factors = list(model.factors)
     projectors = _projectors(model)
     lags = _recent_cores(model.cores, len(model.coeffs.alpha))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bht_arima.evaluate as evaluate
-from bht_arima.errors import ConfigError
+from bht_arima.errors import ConfigError, DataFormatError
 from bht_arima.evaluate import (
     EvalReport,
     naive_last_value,
@@ -67,11 +67,22 @@ def test_synth_determinism_and_kinds():
         a = synth_dataset(kind, 5, 30, 0.5, seed=42)
         b = synth_dataset(kind, 5, 30, 0.5, seed=42)
         assert np.array_equal(a, b)
+        assert np.array_equal(synth_dataset(kind, 5, 30, 0.5, seed=np.int64(42)), a)
         assert a.shape == (5, 30)
     with pytest.raises(ValueError):
         synth_dataset("fractal", 5, 30, 0.5, seed=0)
     with pytest.raises(ValueError):
         synth_dataset("random-walk", 5, 30, -1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "noise, seed, name",
+    [(np.nan, 0, "noise"), (np.inf, 0, "noise"), (0.1, -1, "seed"), (0.1, 1.5, "seed"),
+     (0.1, True, "seed")],
+)
+def test_synth_rejects_non_finite_noise_and_bad_seed(noise, seed, name):
+    with pytest.raises(ValueError, match=name):
+        synth_dataset("random-walk", 5, 30, noise, seed)
 
 
 def test_synth_sinusoid_rank_three():
@@ -107,6 +118,9 @@ def test_rolling_backtest_validation():
         rolling_backtest(x, cfg, train_fraction=0.9, horizon=0)
     with pytest.raises(ConfigError):
         rolling_backtest(x, cfg, train_fraction=0.5, horizon=50)
+    for horizon in (2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="horizon must be an integer"):
+            rolling_backtest(x, cfg, train_fraction=0.5, horizon=horizon)
 
 
 @pytest.mark.parametrize(
@@ -124,6 +138,24 @@ def test_rolling_backtest_refuses_zero_held_out_slice_before_fitting(
 
     monkeypatch.setattr(evaluate, "fit", forbidden)
     with pytest.raises(ConfigError, match=rf"time index {first} has zero norm"):
+        rolling_backtest(x, ModelConfig(), 0.8, horizon=horizon, refit=refit)
+
+
+@pytest.mark.parametrize(
+    "index, horizon, refit",
+    [((2, 39), 8, True), ((2, 39), 1, True), ((2, 39), 1, False), ((0, 3), 1, True)],
+)
+def test_rolling_backtest_refuses_non_finite_panel_before_fitting(
+    monkeypatch, index, horizon, refit
+):
+    x = synth_dataset("sinusoid-mixture", 5, 40, 0.05, seed=1)
+    x[index] = np.nan
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit before the panel was checked")
+
+    monkeypatch.setattr(evaluate, "fit", forbidden)
+    with pytest.raises(DataFormatError, match=rf"at index \({index[0]}, {index[1]}\)"):
         rolling_backtest(x, ModelConfig(), 0.8, horizon=horizon, refit=refit)
 
 

@@ -404,8 +404,10 @@ def test_forecast_scalar_ar1_oracle():
 
 def test_forecast_horizon_validation():
     m = fit(BENCH, BENCH_CFG)
-    with pytest.raises(ValueError):
-        forecast(m, 0)
+    for horizon in (0, 2.0, 1.5, np.float64(3.0), True):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            forecast(m, horizon)
+    assert forecast(m, np.int64(2)).forecasts.shape == (20, 2)
 
 
 def test_forecast_shapes():
@@ -970,6 +972,27 @@ def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
     got_fc, want_fc = forecast(m, 6), forecast(ref, 6)
     assert np.array_equal(got_fc.forecasts, want_fc.forecasts)
     assert np.array_equal(got_fc.embedded_forecasts, want_fc.embedded_forecasts)
+
+
+@pytest.mark.parametrize(
+    "panel, full, relaxed", [("20x40", 17, 19), ("200x120", 16, 17), ("12x8x48", 39, 42)]
+)
+def test_fit_projection_work(monkeypatch, panel, full, relaxed):
+    """Mode products one three-sweep fit makes, as a guard on projection
+    work: the core updates share one running prefix, each factor's partial
+    projection is taken afresh from the data, and relaxed mode closes with
+    one projection through the last factor's pseudo-inverse."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return mode_product(*args)
+
+    monkeypatch.setattr(bht_arima.model, "mode_product", counted)
+    for ortho, want in (("full", full), ("relaxed", relaxed)):
+        calls.clear()
+        fit(FIT_PANELS[panel], ModelConfig(max_iter=3, tol=1e-30, ortho=ortho))
+        assert len(calls) == want, ortho
 
 
 # --- factor bases inside the block-Hankel span ---------------------------------
