@@ -105,8 +105,8 @@ def naive_last_value(x: np.ndarray, horizon: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 1:
         raise ValueError("need at least one observed slice")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not _is_integer(horizon) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     return np.repeat(x[..., -1:], horizon, axis=-1)
 
 
@@ -214,12 +214,15 @@ def synth_dataset(
     series driven by a shared AR(2) with coefficients ``AR2_COEFFS``;
     ``noise`` is the innovation standard deviation. ``random-walk``:
     cumulative sums of Gaussian steps of standard deviation ``noise``.
-    ``noise`` must be finite and nonnegative, ``seed`` a nonnegative integer.
+    ``n_series`` and ``length`` must be positive integers, ``noise`` finite
+    and nonnegative, ``seed`` a nonnegative integer; ``bool`` is not taken
+    for an integer.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {SYNTH_KINDS}")
-    if n_series < 1 or length < 1:
-        raise ValueError("n_series and length must be >= 1")
+    for name, value in (("n_series", n_series), ("length", length)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not 0 <= noise < math.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if not _is_integer(seed) or seed < 0:

@@ -66,9 +66,11 @@ class ModelConfig:
 
     ``ranks`` has one entry per embedded mode (the N series modes plus the
     window mode of extent ``tau``); ``None`` picks ``ceil(0.8 * J_m)`` for
-    the series modes and ``tau`` for the window mode. ``ortho`` is ``"full"``
-    (every factor orthonormal) or ``"relaxed"`` (the same sweeps, then one
-    unconstrained least-squares solve for the last factor). ``p``, ``d``,
+    the series modes and ``tau`` for the window mode; :func:`fit` caps a
+    series mode with more series than distinct block-Hankel columns at that
+    column count. ``ortho`` is ``"full"`` (every factor orthonormal) or
+    ``"relaxed"`` (the same sweeps, then one unconstrained least-squares
+    solve for the last factor). ``p``, ``d``,
     ``q``, ``tau``, ``max_iter``, ``seed`` and every rank must be Python or
     numpy integers; they are stored as ``int``. ``seed`` does not enter the
     fit, which starts from the data alone; it is kept for the run
@@ -208,10 +210,8 @@ def update_core(
     return 0.5 * acc
 
 
-def _hankel_spans(
-    dx: np.ndarray, start: int, ranks: tuple[int, ...]
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Per embedded mode, the fixed bases of :func:`_factor_basis`'s
+def _hankel_spans(dx: np.ndarray, start: int) -> list[np.ndarray | None]:
+    """Per embedded mode, the span basis of :func:`_factor_basis`'s
     compressed path, or ``None`` where the dense SVD runs.
 
     The differenced slices ``dx`` (shape ``(*series, tau, n_diff)``) are
@@ -223,133 +223,98 @@ def _hankel_spans(
     it every alignment matrix ``W`` of that mode, has rank at most
     ``K_m = (product of the other series extents) * (n_t + tau - 1)``.
 
-    For a series mode with ``J_m > K_m`` the complete Householder QR of the
-    distinct columns' mode-``m`` unfolding gives ``span`` (its first
-    ``K_m`` columns, whose range holds every mode-``m`` fibre of
-    ``dx[..., start:]`` and so range(W)) and ``complement`` (the next
-    ``R_m - K_m`` columns, empty when ``R_m <= K_m``). Which modes qualify
-    follows from the shapes alone; the window mode never does, and at most
-    one series mode can: ``J_0 > K_0`` and ``J_1 > K_1`` would need both
-    ``J_0 > J_1`` and ``J_1 > J_0``. :class:`_SpanCoordinates` carries that
-    mode through the fit.
+    For a series mode with ``J_m > K_m`` the reduced Householder QR of the
+    distinct columns' mode-``m`` unfolding gives the ``J_m x K_m`` basis
+    ``Q``, whose range holds every mode-``m`` fibre of ``dx[..., start:]``
+    and so range(W). :func:`fit` caps that mode's rank at ``K_m``. Which
+    modes qualify follows from the shapes alone; the window mode never
+    does, and at most one series mode can: ``J_0 > K_0`` and ``J_1 > K_1``
+    would need both ``J_0 > J_1`` and ``J_1 > J_0``.
+    :class:`_SpanCoordinates` carries that mode through the fit.
     """
     n_series = dx.ndim - 2
     n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
     n_columns = math.prod(dx.shape[:n_series]) * n_distinct
-    spans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(ranks)
+    spans: list[np.ndarray | None] = [None] * (dx.ndim - 1)
     for mode in range(n_series):
-        j = dx.shape[mode]
-        k = n_columns // j
-        if j <= k:
+        if dx.shape[mode] <= n_columns // dx.shape[mode]:
             continue
         hankel = np.concatenate([dx[..., 0, start:], dx[..., 1:, -1]], axis=-1)
-        q = np.linalg.qr(unfold(hankel, mode), mode="complete")[0]
-        spans[mode] = (q[:, :k], q[:, k : ranks[mode]])
+        spans[mode] = np.linalg.qr(unfold(hankel, mode))[0]
     return spans
 
 
-def _factor_basis(partial: np.ndarray, cores: np.ndarray, mode: int) -> np.ndarray:
+def _canonical_signs(u: np.ndarray, composed: np.ndarray) -> np.ndarray:
+    """``u`` with each column's sign flipped where needed so that the
+    largest-magnitude entry of that column of ``composed`` is positive.
+
+    ``composed`` is ``u`` itself, or the factor that ``u`` is the span
+    coordinates of. Sign flips are exact, so flipping ``u`` flips that
+    factor bit for bit.
+    """
+    peak = composed[np.argmax(np.abs(composed), axis=0), np.arange(composed.shape[1])]
+    return u * np.where(peak < 0, -1.0, 1.0)
+
+
+def _factor_basis(
+    partial: np.ndarray, cores: np.ndarray, mode: int, basis: np.ndarray | None = None
+) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
-    of the alignment matrix ``W = sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``.
+    of the alignment matrix ``W = sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``,
+    with canonical column signs.
 
     ``partial`` is the stacked data projected on every mode but ``mode``.
     The basis pins the within-subspace rotation to the singular vectors: a
     rotation-free Procrustes map ``u @ v.T`` would, with full Tucker ranks,
     let the autoregressive terms spin the factors by a constant angle every
     sweep, so the relative-factor-change stopping rule would never fire.
+    The signs LAPACK returns depend on the order of the rows it sees, and
+    the sweep is not invariant to them (the core update mixes new
+    projections with lagged cores of the old signs), so each column is
+    flipped to make its largest-magnitude entry positive (Bro, Acar &
+    Kolda, *J. Chemometrics* 2008). Permuting the series then permutes the
+    factor rows and nothing else.
 
     For a mode with no more series than distinct Hankel columns this is the
     thin SVD of the ``J x R`` matrix ``W``. For the compressed mode of
-    :class:`_SpanCoordinates`, ``partial`` holds span coordinates ``Q.T X``,
-    so ``W`` is the ``K x R`` matrix ``Q.T W`` and the result is the
-    rotation ``u`` of the factor ``[Q u, C]``. Only the left singular
-    vectors are needed, and when ``R`` is well above ``K`` they come from
-    the ``K x K`` triangle ``r.T`` of ``W.T = (orthonormal) r`` (Chan's
-    R-SVD, Golub & Van Loan, *Matrix Computations*, section 5.4), so the SVD
-    never forms ``R``-column right vectors.
+    :class:`_SpanCoordinates`, ``partial`` holds span coordinates ``Q.T X``
+    and ``basis`` is ``Q``, so ``W`` is the ``K x R`` matrix ``Q.T W`` and
+    the result is the rotation ``u`` of the factor ``Q u``, whose signs are
+    read on ``Q u``. Either way ``W`` is no wider than it is tall.
     """
     # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
     # so one product sums over t.
     w = unfold(partial, mode) @ unfold(cores, mode).T
-    # R >= int(K * 11 / 6) is LAPACK gesdd's own crossover to an LQ-first
-    # SVD, evaluated as gesdd does, so the triangle keeps the column signs a
-    # plain SVD picks. Below it the two routes can differ in sign, which the
-    # sweep is not invariant to (the core update mixes new projections with
-    # lagged cores of the old signs): a 200x115 fit at seed 11 then took 8
-    # sweeps instead of 5.
-    if w.shape[1] >= int(w.shape[0] * 11 / 6):
-        w = np.linalg.qr(w.T, mode="r").T
-    return linalg.svd(w).u
+    u = linalg.svd(w).u
+    return _canonical_signs(u, u if basis is None else basis @ u)
 
 
 class _SpanCoordinates:
     """The compressed series mode of a fit, carried in block-Hankel span
     coordinates so that no ``J``-sized work runs inside the sweep.
 
-    With ``(Q, C)`` from :func:`_hankel_spans` (``K`` and ``n_c = max(R -
-    K, 0)`` columns) the mode's factor is ``U = [Q u, C]`` for a ``K x
-    min(K, R)`` rotation ``u``. The fit holds it as its span coordinates
-    ``f = Q.T U = [u, 0]`` (``K x R``) and composes ``U`` only for the
-    returned model. It starts at ``[u0, 0]``, with ``u0`` the leading left
-    singular vectors of ``Q.T X``. Every mode-``mode`` fibre of the
-    objective range lies in range(Q), so there ``U.T`` acts as ``[u.T; 0]``
-    on ``Q.T X``; on the ``start`` head slices it gives ``[u.T Q.T h; C.T
-    h]``. Both pieces, ``data = Q.T dx`` and ``fixed`` (``C.T h`` on the
-    head, zero on the rest), are computed once per fit.
+    With ``Q`` from :func:`_hankel_spans` (``K`` columns) and the mode's
+    rank capped at ``K``, the mode's factor is ``U = Q u`` for a ``K x R``
+    rotation ``u`` with orthonormal columns. The fit holds ``u``, projects
+    through it the data ``Q.T dx``, computed once per fit, and composes
+    ``U`` only for the returned model. Every mode-``mode`` fibre of the
+    objective range lies in range(Q), so there ``U.T`` acts as ``u.T`` on
+    ``Q.T X``, and on the ``start`` head slices ``u.T Q.T h`` equals
+    ``U.T h`` too, since ``U = Q u``.
     """
 
-    def __init__(
-        self,
-        dx: np.ndarray,
-        start: int,
-        mode: int,
-        basis: np.ndarray,
-        complement: np.ndarray,
-    ) -> None:
+    def __init__(self, dx: np.ndarray, mode: int, basis: np.ndarray) -> None:
         self.mode = mode
-        self.basis, self.complement = basis, complement
+        self.basis = basis
         self.data = mode_product(dx, basis.T, mode)
-        head = mode_product(dx[..., :start], complement.T, mode)
-        body = np.zeros((*head.shape[:-1], dx.shape[-1] - start))
-        self.fixed = np.concatenate([head, body], axis=-1)
-        # One Gram of [Q, C] per fit serves every sweep's orthogonality
-        # defect: U.T U = M.T G M with M = [[u, 0], [0, I]]. Its first K rows
-        # are kept; the complement block enters as ||C.T C - I||^2.
-        self.gram_span = np.concatenate([basis.T @ basis, basis.T @ complement], axis=1)
-        excess = complement.T @ complement
-        excess[np.diag_indices_from(excess)] -= 1.0
-        self.complement_defect = float(np.sum(excess**2))
 
-    def coordinates(self, rotation: np.ndarray) -> np.ndarray:
-        """Span coordinates ``[u, 0]`` of the factor with rotation ``u``."""
-        zeros = np.zeros((rotation.shape[0], self.complement.shape[1]))
-        return np.concatenate([rotation, zeros], axis=1)
+    def project(self, rotation: np.ndarray) -> np.ndarray:
+        """``U.T dx`` on the compressed mode for the rotation ``u``."""
+        return mode_product(self.data, rotation.T, self.mode)
 
-    @staticmethod
-    def rotation(coords: np.ndarray) -> np.ndarray:
-        """The rotation ``u`` in span coordinates ``[u, 0]``."""
-        return coords[:, : min(coords.shape)]
-
-    def project(self, coords: np.ndarray) -> np.ndarray:
-        """``U.T dx`` on the compressed mode for span coordinates ``[u, 0]``."""
-        inside = mode_product(self.data, self.rotation(coords).T, self.mode)
-        return np.concatenate([inside, self.fixed], axis=self.mode)
-
-    def compose(self, coords: np.ndarray) -> np.ndarray:
-        """The factor ``U = [Q u, C]`` for span coordinates ``[u, 0]``."""
-        return np.concatenate([self.basis @ self.rotation(coords), self.complement], axis=1)
-
-    def defect(self, coords: np.ndarray) -> float:
-        """``||U.T U - I||`` for span coordinates ``[u, 0]``, from the Gram."""
-        rotation = self.rotation(coords)
-        k = self.basis.shape[1]
-        top = rotation.T @ self.gram_span
-        corner = top[:, :k] @ rotation - np.eye(rotation.shape[1])
-        return math.sqrt(
-            float(np.sum(corner**2))
-            + 2.0 * float(np.sum(top[:, k:] ** 2))
-            + self.complement_defect
-        )
+    def compose(self, rotation: np.ndarray) -> np.ndarray:
+        """The factor ``U = Q u`` for the rotation ``u``."""
+        return self.basis @ rotation
 
 
 def update_factor_relaxed(
@@ -362,8 +327,8 @@ def update_factor_relaxed(
     Solves ``(sum_t A_t A_t.T) U = sum_t A_t G_t^(last).T`` with ``A_t =
     X_t^(last) @ pinv(U^(-last))``; a singular Gram sum is ridge-regularized
     with ``1e-8 * trace / size`` and flagged. The leading factors must have
-    orthonormal columns, possibly followed by zero ones (span coordinates
-    ``[u, 0]``), so the Kronecker chain's pseudo-inverse is its transpose.
+    orthonormal columns, so the Kronecker chain's pseudo-inverse is its
+    transpose.
     """
     last = len(factors) - 1
     if last < 1:
@@ -454,17 +419,6 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise DataFormatError(f"{what}: non-finite value {x[idx]} at index {idx}")
 
 
-def _orthogonality_defect(factors: list[np.ndarray], span: _SpanCoordinates | None) -> float:
-    worst = 0.0
-    for mode, f in enumerate(factors):
-        if span is not None and mode == span.mode:
-            defect = span.defect(f)
-        else:
-            defect = float(np.linalg.norm(f.T @ f - np.eye(f.shape[1])))
-        worst = max(worst, defect)
-    return worst
-
-
 def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     """Fit the model to an ``(I_1, ..., I_N, T)`` array (time last).
 
@@ -480,13 +434,16 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
 
     A series mode with more series ``J_m`` than distinct block-Hankel
     columns ``K_m`` (see :func:`_hankel_spans`; at most one mode, decided by
-    the shapes alone) runs in span coordinates (see
-    :class:`_SpanCoordinates`): the data are projected on the span once,
-    each sweep takes an SVD of at most ``K_m x K_m`` (see
-    :func:`_factor_basis`), and the factor's fixed null-space columns leave
-    the stopping rule only real motion, so such fits converge. The other
-    modes take the dense SVD, and a fit with no compressed mode runs its
-    whole sweep on the differenced data itself.
+    the shapes alone) has its rank capped at ``K_m``, the most directions
+    its data hold, whether the rank is automatic or given; the returned
+    model's ``ranks`` show the capped value. That mode runs in span
+    coordinates (see :class:`_SpanCoordinates`): the data are projected on
+    the span once, each sweep takes an SVD of at most ``K_m x K_m`` (see
+    :func:`_factor_basis`), and the factor has no null-space columns to
+    drift, so such fits converge. The other modes take the dense SVD, and a
+    fit with no compressed mode runs its whole sweep on the differenced data
+    itself. Every factor has canonical column signs (see
+    :func:`_factor_basis`), so permuting the series permutes the forecasts.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -510,28 +467,26 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     n_diff = dx.shape[-1]
     start = p + q
 
-    spans = _hankel_spans(dx, start, ranks)
+    spans = _hankel_spans(dx, start)
+    ranks = tuple(r if sp is None else min(r, sp.shape[1]) for r, sp in zip(ranks, spans))
     span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
-    span = None if span_mode is None else _SpanCoordinates(dx, start, span_mode, *spans[span_mode])
+    span = None if span_mode is None else _SpanCoordinates(dx, span_mode, spans[span_mode])
     # ``data`` is the objective's range, in span coordinates on the
     # compressed mode; the factors start from its truncated HOSVD, the
     # sweep's basis rule with the data standing in for the cores.
     data = (dx if span is None else span.data)[..., start:]
-    factors = [_factor_basis(data, data, mode)[:, :r] for mode, r in enumerate(ranks)]
+    factors = [_factor_basis(data, data, mode, spans[mode])[:, :r] for mode, r in enumerate(ranks)]
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
     converged = ridge_used = err_skipped = False
 
     # ``y`` is the data with the compressed mode, if any, projected on its
-    # current factor, whose span coordinates ``factors`` holds and every
-    # projection below skips; without one ``y`` is ``dx``. ``prefix`` is
-    # ``y`` projected on the modes already updated in this sweep: at the end
-    # of a sweep, the next sweep's cores.
-    y = dx
-    if span is not None:
-        factors[span_mode] = span.coordinates(factors[span_mode])
-        y = span.project(factors[span_mode])
+    # current factor, whose rotation ``factors`` holds and every projection
+    # below skips; without one ``y`` is ``dx``. ``prefix`` is ``y`` projected
+    # on the modes already updated in this sweep: at the end of a sweep, the
+    # next sweep's cores.
+    y = dx if span is None else span.project(factors[span_mode])
     prefix = _project(y, factors, {span_mode})
     for _ in range(cfg.max_iter):
         cores = prefix
@@ -550,10 +505,10 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             )
             cores = projection
             if mode == span_mode:
-                # Span coordinates of the data in, span coordinates of the
-                # factor out; then ``y`` and ``prefix`` follow the factor.
+                # Span coordinates of the data in, the factor's rotation
+                # out; then ``y`` and ``prefix`` follow the factor.
                 partial = _project(data, factors, {mode})
-                factors[mode] = span.coordinates(_factor_basis(partial, cores[..., start:], mode))
+                factors[mode] = _factor_basis(partial, cores[..., start:], mode, span.basis)
                 y = span.project(factors[mode])
                 prefix = _project(y, factors, range(mode, n_modes))
                 continue
@@ -563,13 +518,17 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
-        # In span coordinates U - U_prev = Q (f - f_prev), with the same norm.
+        # In span coordinates U - U_prev = Q (u - u_prev), with the same norm.
         # Every factor is orthonormal, so ||U||^2 summed over the modes is
         # sum(ranks).
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
         delta = change / sum(ranks)
         trace.append(delta)
-        ortho_trace.append(_orthogonality_defect(factors, span))
+        # On the compressed mode ||u.T u - I||, which is ||U.T U - I|| up to
+        # the rounding of Q.T Q.
+        ortho_trace.append(
+            max(float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors)
+        )
         if delta < cfg.tol:
             converged = True
             break

@@ -15,6 +15,8 @@ inputs are never mutated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataFormatError
@@ -35,6 +37,11 @@ def _check_mode(ndim: int, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for order-{ndim} tensor")
 
 
+def _leading(ndim: int, mode: int) -> tuple[int, ...]:
+    """Axis order that moves ``mode`` to the front, the rest kept in order."""
+    return (mode, *range(mode), *range(mode + 1, ndim))
+
+
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``t`` along ``mode``.
 
@@ -43,7 +50,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
-    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
+    return t.transpose(_leading(t.ndim, mode)).reshape((t.shape[mode], -1), order="F")
 
 
 def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -75,7 +82,14 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
             f"matrix of shape {m.shape} cannot contract mode {mode} "
             f"of extent {t.shape[mode]}"
         )
-    return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+    # The steps np.tensordot and np.moveaxis take for this contraction,
+    # without their axis normalisation: bring ``mode`` to the front, one
+    # matrix product, then move the new axis back into place.
+    order = _leading(t.ndim, mode)
+    rest = [t.shape[i] for i in order[1:]]
+    flat = t.transpose(order).reshape((t.shape[mode], math.prod(rest)))
+    out = np.dot(m, flat).reshape([m.shape[0], *rest])
+    return out.transpose((*range(1, mode + 1), 0, *range(mode + 1, t.ndim)))
 
 
 def multi_mode_product(

@@ -123,6 +123,20 @@ def test_fit_forecast_command(tmp_path):
     assert "converged = " in summary
 
 
+@pytest.mark.parametrize("ranks", [[], ["--ranks", "30,3"]], ids=["auto", "explicit"])
+def test_summary_reads_the_capped_rank(tmp_path, ranks):
+    # 50 series of 12 steps hold only K = 6 + 3 - 1 = 8 distinct Hankel
+    # columns, so the series rank (auto 40, or 30) is capped at 8.
+    data_path, _ = make_dataset(tmp_path, n=50, t=12)
+    sm = str(tmp_path / "sm.txt")
+    code = cli.main(
+        ["fit-forecast", data_path, "--horizon", "2", *ranks,
+         "--forecast-out", str(tmp_path / "fc.csv"), "--summary-out", sm]
+    )
+    assert code == 0
+    assert "ranks = 8,3\n" in open(sm).read()
+
+
 def test_backtest_command_echoes_train_fraction(tmp_path):
     data_path, _ = make_dataset(tmp_path)
     rp = str(tmp_path / "report.txt")

@@ -45,6 +45,13 @@ def test_naive_last_value():
     assert np.array_equal(got, np.array([[3.0] * 3, [6.0] * 3]))
     with pytest.raises(ValueError):
         naive_last_value(x, 0)
+    assert naive_last_value(x, np.int64(2)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 2.0, True, np.float64(3.0)])
+def test_naive_last_value_rejects_non_integral_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        naive_last_value(np.ones((3, 5)), horizon)
 
 
 def test_naive_constant_series_zero_error():
@@ -83,6 +90,18 @@ def test_synth_determinism_and_kinds():
 def test_synth_rejects_non_finite_noise_and_bad_seed(noise, seed, name):
     with pytest.raises(ValueError, match=name):
         synth_dataset("random-walk", 5, 30, noise, seed)
+
+
+@pytest.mark.parametrize(
+    "n_series, length, name",
+    [(2.5, 30, "n_series"), (True, 30, "n_series"), (0, 30, "n_series"),
+     (5, 30.0, "length"), (5, np.False_, "length"), (5, 0, "length")],
+)
+def test_synth_rejects_non_integral_sizes(n_series, length, name):
+    for kind in evaluate.SYNTH_KINDS:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            synth_dataset(kind, n_series, length, 0.1, 0)
+    assert synth_dataset("random-walk", np.int64(3), np.int32(4), 0.1, 0).shape == (3, 4)
 
 
 def test_synth_sinusoid_rank_three():

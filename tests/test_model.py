@@ -716,43 +716,62 @@ def _oracle_distinct_columns(dx, start):
     return np.stack(cols, axis=-1)
 
 
-def _oracle_span(dx, start, mode, rank):
-    """``(span, complement)`` of the compressed factor basis for a series
-    mode with more rows than distinct Hankel columns, else ``None``."""
+def _oracle_span(dx, start, mode):
+    """The span basis of the compressed factor for a series mode with more
+    rows than distinct Hankel columns, else ``None``."""
     h = unfold(_oracle_distinct_columns(dx, start), mode)
     n_rows, n_cols = h.shape
     if n_rows <= n_cols:
         return None
-    q = np.linalg.qr(h, mode="complete")[0]
-    return q[:, :n_cols], q[:, n_cols:rank]
+    return np.linalg.qr(h)[0]
+
+
+def _oracle_signs(u, composed):
+    """``u`` with column ``j`` negated wherever the largest-magnitude entry
+    of ``composed[:, j]`` (``u`` itself, or the factor ``Q u``) is negative."""
+    u = u.copy()
+    for j in range(u.shape[1]):
+        col = composed[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            u[:, j] = -u[:, j]
+    return u
+
+
+def _oracle_ranks(cfg, emb_shape, spans):
+    """The configured ranks, capped at K on the compressed mode."""
+    ranks = cfg.resolved_ranks(emb_shape)
+    return tuple(r if span is None else min(r, span.shape[1]) for r, span in zip(ranks, spans))
 
 
 def oracle_fit(x, cfg):
     """Reference fit: every projection is recomputed from the data at every
     mode, the factor basis gets its own partial projection, and the core
     update runs one time step at a time. A series mode with more rows than
-    distinct Hankel columns takes the SVD inside their span, with its factor
-    and the data kept in J-space: ``fit`` runs that mode in span
-    coordinates (``span_oracle_fit``) and agrees with this to 1e-10. Relaxed
-    mode sweeps as full mode does, then solves once for the last factor."""
+    distinct Hankel columns K takes the SVD inside their span, with its rank
+    capped at K and its factor and the data kept in J-space: ``fit`` runs
+    that mode in span coordinates (``span_oracle_fit``) and agrees with this
+    to 1e-10. Every factor has canonical column signs, read on the J-space
+    factor. Relaxed mode sweeps as full mode does, then solves once for the
+    last factor."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
-    ranks = cfg.resolved_ranks(emb_shape)
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
-    spans = [_oracle_span(dx, start, m, ranks[m]) for m in range(n_modes - 1)] + [None]
+    spans = [_oracle_span(dx, start, m) for m in range(n_modes - 1)] + [None]
+    ranks = _oracle_ranks(cfg, emb_shape, spans)
     # The truncated HOSVD of the objective's range, inside the span on a
     # compressed mode, and zero error tensors.
     factors = []
     for mode, r in enumerate(ranks):
         if spans[mode] is None:
             w = unfold(dx[..., start:], mode) @ unfold(dx[..., start:], mode).T
-            factors.append(linalg.svd(w).u[:, :r])
+            u = linalg.svd(w).u
+            factors.append(_oracle_signs(u, u)[:, :r])
             continue
-        span, complement = spans[mode]
-        small = span.T @ unfold(dx[..., start:], mode)
-        factors.append(np.hstack([span @ linalg.svd(small @ small.T).u[:, :r], complement]))
+        small = spans[mode].T @ unfold(dx[..., start:], mode)
+        u = spans[mode] @ linalg.svd(small @ small.T).u
+        factors.append(_oracle_signs(u, u)[:, :r])
     errors = [np.zeros(ranks) for _ in range(q)]
     trace, ortho_trace = [], []
     converged = ridge_used = err_skipped = False
@@ -772,11 +791,11 @@ def oracle_fit(x, cfg):
             partial = _sweep_project(dx[..., start:], _sweep_projectors(factors), skip=mode)
             if spans[mode] is None:
                 w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
-                factors[mode] = linalg.svd(w).u
+                u = linalg.svd(w).u
             else:
-                span, complement = spans[mode]
-                small = (span.T @ unfold(partial, mode)) @ unfold(cores[..., start:], mode).T
-                factors[mode] = np.hstack([span @ linalg.svd(small).u, complement])
+                small = (spans[mode].T @ unfold(partial, mode)) @ unfold(cores[..., start:], mode).T
+                u = spans[mode] @ linalg.svd(small).u
+            factors[mode] = _oracle_signs(u, u)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
@@ -813,37 +832,32 @@ def oracle_fit(x, cfg):
 
 def span_oracle_fit(x, cfg):
     """``oracle_fit`` for a fit with a compressed mode ``c``, in span
-    coordinates as ``fit`` runs it: the data enter as ``Q.T dx`` plus the
-    fixed rows ``C.T h`` of the head slices ``h = dx[..., :start]``, and the
-    factor ``[Q u, C]`` as ``[u, 0] = Q.T U``. Every projection is still
-    recomputed at every mode, the core update runs one step at a time, and
-    relaxed mode solves once for the last factor after the sweeps."""
+    coordinates as ``fit`` runs it: the data enter as ``Q.T dx`` and the
+    factor ``Q u`` as its rotation ``u``, whose signs are read on ``Q u``.
+    Every projection is still recomputed at every mode, the core update
+    runs one step at a time, and relaxed mode solves once for the last
+    factor after the sweeps."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
-    ranks = cfg.resolved_ranks(emb_shape)
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
-    spans = [_oracle_span(dx, start, m, ranks[m]) for m in range(n_modes - 1)] + [None]
+    spans = [_oracle_span(dx, start, m) for m in range(n_modes - 1)] + [None]
+    ranks = _oracle_ranks(cfg, emb_shape, spans)
     (c,) = [m for m, span in enumerate(spans) if span is not None]
-    basis, complement = spans[c]
-    k, n_c = basis.shape[1], complement.shape[1]
+    basis = spans[c]
+
+    def signs(u, mode):
+        return _oracle_signs(u, basis @ u if mode == c else u)
 
     data = mode_product(dx, basis.T, c)
-    head = mode_product(dx[..., :start], complement.T, c)
-    fixed = np.concatenate([head, np.zeros((*head.shape[:-1], n_diff - start))], axis=-1)
-    gram_span = np.hstack([basis.T @ basis, basis.T @ complement])
-    excess = complement.T @ complement - np.eye(n_c)
-    gram_defect = float(np.sum(excess**2))
-    # The truncated HOSVD of the objective's range in span coordinates, the
-    # compressed mode's start [u0, 0], and zero error tensors.
+    # The truncated HOSVD of the objective's range in span coordinates, and
+    # zero error tensors.
     factors = []
     for mode, r in enumerate(ranks):
         w = unfold(data[..., start:], mode) @ unfold(data[..., start:], mode).T
-        factors.append(linalg.svd(w).u[:, :r])
-    u0 = factors[c]
-    factors[c] = np.hstack([u0, np.zeros((k, n_c))])
-    y = np.concatenate([mode_product(data, u0.T, c), fixed], axis=c)
+        factors.append(signs(linalg.svd(w).u, mode)[:, :r])
+    y = mode_product(data, factors[c].T, c)
     errors = [np.zeros(ranks) for _ in range(q)]
 
     def project(t, skip=(), relaxed=False):
@@ -852,9 +866,6 @@ def span_oracle_fit(x, cfg):
             if mode != c and mode not in skip:
                 t = mode_product(t, mats[mode], mode)
         return t
-
-    def rotation(coords):
-        return coords[:, :min(coords.shape)]
 
     trace, ortho_trace = [], []
     converged = ridge_used = err_skipped = False
@@ -874,32 +885,18 @@ def span_oracle_fit(x, cfg):
             source = data if mode == c else y
             partial = project(source[..., start:], skip={mode})
             w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
-            if mode != c:
-                factors[mode] = linalg.svd(w).u
-                continue
-            if w.shape[1] >= int(k * 11 / 6):
-                w = np.linalg.qr(w.T, mode="r").T
-            u = linalg.svd(w).u
-            factors[c] = np.hstack([u, np.zeros((k, n_c))])
-            y = np.concatenate([mode_product(data, u.T, c), fixed], axis=c)
+            factors[mode] = signs(linalg.svd(w).u, mode)
+            if mode == c:
+                y = mode_product(data, factors[c].T, c)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
         delta = change / sum(ranks)
         trace.append(delta)
-        defects = []
-        for mode, f in enumerate(factors):
-            if mode != c:
-                defects.append(float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))))
-                continue
-            top = rotation(f).T @ gram_span
-            corner = top[:, :k] @ rotation(f) - np.eye(rotation(f).shape[1])
-            defects.append(math.sqrt(
-                float(np.sum(corner**2)) + 2.0 * float(np.sum(top[:, k:] ** 2))
-                + gram_defect
-            ))
-        ortho_trace.append(max(defects))
+        ortho_trace.append(max(
+            float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors
+        ))
         if delta < cfg.tol:
             converged = True
             break
@@ -909,7 +906,7 @@ def span_oracle_fit(x, cfg):
             data[..., start:], cores[..., start:], factors
         )
     cores = project(y, relaxed=relaxed)
-    factors[c] = np.hstack([basis @ rotation(factors[c]), complement])
+    factors[c] = basis @ factors[c]
     return {
         "factors": tuple(factors),
         "cores": cores,
@@ -975,13 +972,14 @@ def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
 
 
 @pytest.mark.parametrize(
-    "panel, full, relaxed", [("20x40", 17, 19), ("200x120", 16, 17), ("12x8x48", 39, 42)]
+    "panel, full, relaxed", [("20x40", 17, 19), ("200x120", 15, 16), ("12x8x48", 39, 42)]
 )
 def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     """Mode products one three-sweep fit makes, as a guard on projection
     work: the core updates share one running prefix, each factor's partial
-    projection is taken afresh from the data, and relaxed mode closes with
-    one projection through the last factor's pseudo-inverse."""
+    projection is taken afresh from the data, a compressed mode projects the
+    data on its span once, and relaxed mode closes with one projection
+    through the last factor's pseudo-inverse."""
     calls = []
 
     def counted(*args):
@@ -1016,40 +1014,39 @@ def _basis_problem(rank, seed=4):
     dx = difference(mdt_temporal(x, 3), 1).slices
     partial = mode_product(dx[..., start:], random_orthonormal(rng, 3, 3).T, 1)
     cores = rng.standard_normal((rank, 3, dx.shape[-1] - start))
-    spans = bht_arima.model._hankel_spans(dx, start, (rank, 3))
+    spans = bht_arima.model._hankel_spans(dx, start)
     return partial, cores, spans
 
 
 @pytest.mark.parametrize("rank", [10, 21, 48], ids=["R<K", "R=K", "R>K"])
 def test_compressed_factor_spans_the_dense_basis(rank):
-    partial, cores, spans = _basis_problem(rank)
+    # fit caps the compressed mode's rank at K, so R=48 runs at R=K=21
+    capped = min(rank, 21)
+    partial, cores, spans = _basis_problem(capped)
     assert spans[1] is None
-    span, complement = spans[0]
+    span = spans[0]
     assert span.shape == (60, 21)
-    assert complement.shape == (60, max(rank - 21, 0))
-    # In span coordinates the basis is the rotation u of the factor [Q u, C].
-    rotation = bht_arima.model._factor_basis(mode_product(partial, span.T, 0), cores, 0)
-    assert rotation.shape == (21, min(rank, 21))
-    got = np.hstack([span @ rotation, complement])
-    assert got.shape == (60, rank)
-    assert np.max(np.abs(got.T @ got - np.eye(rank))) < 1e-12
+    assert np.max(np.abs(span.T @ span - np.eye(21))) < 1e-12
+    # In span coordinates the basis is the rotation u of the factor Q u.
+    rotation = bht_arima.model._factor_basis(mode_product(partial, span.T, 0), cores, 0, span)
+    assert rotation.shape == (21, capped)
+    got = span @ rotation
+    assert np.max(np.abs(got.T @ got - np.eye(capped))) < 1e-12
     w = unfold(partial, 0) @ unfold(cores, 0).T
     dense = linalg.svd(w)
     r = int(np.sum(dense.s > 1e-10 * dense.s[0]))
-    assert 0 < r <= min(rank, 21)
-    # at R=48 >= 11K/6 the rotation comes from the K x K triangle of
-    # (Q.T W).T; its leading columns are the plain SVD's up to sign
+    assert 0 < r <= capped
+    # the leading columns are the plain SVD's up to sign, and the signs are
+    # canonical: each column's largest-magnitude entry of Q u is positive
     plain = linalg.svd(span.T @ w).u
     cosines = np.abs(np.sum(rotation[:, :r] * plain[:, :r], axis=0))
     assert np.max(np.abs(cosines - 1)) < 1e-10
+    assert np.all(got[np.argmax(np.abs(got), axis=0), np.arange(capped)] > 0)
     proj_got = got[:, :r] @ got[:, :r].T
     proj_dense = dense.u[:, :r] @ dense.u[:, :r].T
     assert np.max(np.abs(proj_got - proj_dense)) < 1e-10
-    # the columns past the data's rank, the fixed complement among them,
-    # are orthogonal to range(W)
+    # the columns past the data's rank are orthogonal to range(W)
     assert np.linalg.norm(got[:, r:].T @ w) < 1e-10 * np.linalg.norm(w)
-    if rank > 21:
-        assert np.array_equal(got[:, 21:], complement)
 
 
 @pytest.mark.parametrize(
@@ -1058,11 +1055,12 @@ def test_compressed_factor_spans_the_dense_basis(rank):
     ids=["20x40", "order3", "J=K=21"],
 )
 def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
-    # J <= K in every mode: no span is built and the basis is linalg.svd(W).u.
+    # J <= K in every mode: no span is built and the basis is linalg.svd(W).u
+    # with canonical signs.
     dx = difference(mdt_temporal(x, 3), 1).slices
     start = 3
     ranks = ModelConfig().resolved_ranks(dx.shape[:-1])
-    assert bht_arima.model._hankel_spans(dx, start, ranks) == [None] * len(ranks)
+    assert bht_arima.model._hankel_spans(dx, start) == [None] * len(ranks)
     rng = np.random.default_rng(2)
     cores = rng.standard_normal((*ranks, dx.shape[-1] - start))
     for mode in range(len(ranks)):
@@ -1070,7 +1068,8 @@ def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
         partial = _sweep_project(dx[..., start:], mats, skip=mode)
         w = unfold(partial, mode) @ unfold(cores, mode).T
         got = bht_arima.model._factor_basis(partial, cores, mode)
-        assert np.array_equal(got, linalg.svd(w).u)
+        u = linalg.svd(w).u
+        assert np.array_equal(got, _oracle_signs(u, u))
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -1150,13 +1149,17 @@ _MODE1_PANEL = synth_dataset("sinusoid-mixture", 120, 12, 0.05, seed=5).reshape(
 
 @pytest.mark.parametrize("max_iter", [2, 10])
 @pytest.mark.parametrize(
-    "ranks", [None, (2, 10, 3), (2, 16, 3)], ids=["auto-R48>K", "R10<K", "R16=K"]
+    "ranks, rank",
+    [(None, 16), ((2, 10, 3), 10), ((2, 16, 3), 16), ((2, 30, 3), 16)],
+    ids=["auto-R48>K", "R10<K", "R16=K", "R30>K"],
 )
-def test_compressed_mode_one_and_ranks_up_to_k(ranks, max_iter):
+def test_compressed_mode_one_and_ranks_up_to_k(ranks, rank, max_iter):
+    # A rank above K=16, automatic or given, is capped at K.
     cfg = ModelConfig(ranks=ranks, max_iter=max_iter)
     m = fit(_MODE1_PANEL, cfg)
     assert _compressed_modes(m) == [1]
-    assert m.factors[1].shape == (60, 48 if ranks is None else ranks[1])
+    assert m.ranks == (2, rank, 3)
+    assert m.factors[1].shape == (60, rank)
     assert np.all(np.isfinite(forecast(m, 4).forecasts))
     for f in m.factors:
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
@@ -1264,3 +1267,56 @@ def test_explosive_yule_walker_fit_takes_the_biased_resolve():
     assert m.coeffs.ar_fallback and m.coeffs.ar_stable
     error = nrmse(forecast(m, 5).forecasts, actual)
     assert error < 0.7 * nrmse(naive_last_value(train, 5), actual)
+
+
+# --- metamorphic relations -----------------------------------------------------
+
+# 20x40 has no compressed mode; 200x60 has J=200 series against K = 57 - d
+# distinct Hankel columns, so its series mode runs capped in span coordinates.
+META_PANELS = {
+    "20x40": BENCH,
+    "200x60": synth_dataset("sinusoid-mixture", 200, 60, 0.05, seed=7),
+}
+META_CASES = [
+    pytest.param(panel, ortho, d, id=f"{panel}-{ortho}-d{d}")
+    for panel in META_PANELS
+    for ortho in ("full", "relaxed")
+    for d in (0, 1)
+]
+
+
+def _meta_forecast(panel, ortho, d, transform=lambda z: z):
+    x = transform(META_PANELS[panel])
+    return forecast(fit(x, ModelConfig(d=d, ortho=ortho)), 5).forecasts
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("panel, ortho, d", META_CASES)
+def test_permuting_the_series_permutes_the_forecasts(panel, ortho, d):
+    # Canonical factor signs make the fit independent of the row order
+    # LAPACK sees.
+    perm = np.random.default_rng(3).permutation(META_PANELS[panel].shape[0])
+    got = _meta_forecast(panel, ortho, d, lambda z: z[perm])
+    assert _relative(got, _meta_forecast(panel, ortho, d)[perm]) <= 1e-12
+
+
+@pytest.mark.parametrize("panel, ortho, d", META_CASES)
+def test_scaling_the_panel_scales_the_forecasts(panel, ortho, d):
+    base = _meta_forecast(panel, ortho, d)
+    # a power of two shifts exponents only, so every rounding is the same
+    assert np.array_equal(_meta_forecast(panel, ortho, d, lambda z: 2.0 * z), 2.0 * base)
+    for scale in (1e6, 1e-6):
+        got = _meta_forecast(panel, ortho, d, lambda z: scale * z)
+        assert _relative(got, scale * base) <= 1e-12, scale
+
+
+@pytest.mark.parametrize("ortho", ["full", "relaxed"])
+@pytest.mark.parametrize("panel", list(META_PANELS))
+def test_a_per_series_offset_shifts_the_forecasts(panel, ortho):
+    # d = 1 differences the offset away.
+    offset = np.random.default_rng(5).uniform(-5.0, 5.0, (META_PANELS[panel].shape[0], 1))
+    got = _meta_forecast(panel, ortho, 1, lambda z: z + offset)
+    assert _relative(got, _meta_forecast(panel, ortho, 1) + offset) <= 1e-12

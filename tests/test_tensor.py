@@ -124,6 +124,34 @@ def test_mode_product_equals_fold_of_matmul():
     assert np.allclose(mode_product(t, m, 1), fold(m @ unfold(t, 1), 1, shape))
 
 
+def _layouts(rng, shape):
+    """The same kind of tensor as C-contiguous, Fortran-ordered, strided and
+    transposed arrays."""
+    yield rng.standard_normal(shape)
+    yield np.asfortranarray(rng.standard_normal(shape))
+    yield rng.standard_normal(tuple(2 * s for s in shape))[tuple(slice(None, None, 2) for _ in shape)]
+    yield rng.standard_normal(shape[::-1]).T
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 5, 2), (2, 3, 4, 2), (3, 1, 2, 2, 3)])
+def test_mode_product_and_unfold_match_numpy_bit_for_bit(shape):
+    # The lean kernels run the steps of np.tensordot + np.moveaxis and of
+    # np.moveaxis + np.reshape, so results agree in layout and in every bit.
+    rng = np.random.default_rng(len(shape))
+    for t in _layouts(rng, shape):
+        for mode, j in enumerate(shape):
+            for m in (rng.standard_normal((3, j)), rng.standard_normal((j, 3)).T,
+                      rng.standard_normal((6, 2 * j))[::2, ::2]):
+                want = np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+                assert _same_bytes(mode_product(t, m, mode), want), (mode, m.strides)
+            want = np.reshape(np.moveaxis(t, mode, 0), (j, -1), order="F")
+            assert _same_bytes(unfold(t, mode), want), mode
+
+
 def test_mode_product_shape_mismatch():
     with pytest.raises(ValueError):
         mode_product(np.zeros((3, 4)), np.zeros((2, 5)), 1)
