@@ -35,7 +35,8 @@ AR2_COEFFS = (0.5, -0.3)
 @dataclass(frozen=True)
 class EvalReport:
     """Backtest summary. ``per_step_nrmse`` is indexed by horizon step for
-    the multi-step protocol and by test step for the one-step protocol."""
+    the multi-step protocol and by test step for the one-step protocol.
+    ``config_echo`` is the requested configuration, with ranks uncapped."""
 
     nrmse: float
     per_step_nrmse: np.ndarray
@@ -53,7 +54,10 @@ class EvalReport:
         """Canonical key-value serialization.
 
         Deterministic for a fixed run specification: the (volatile) runtime
-        is deliberately not part of the canonical form.
+        is deliberately not part of the canonical form. ``ranks =`` is the
+        requested configuration, since refits at different lengths can cap
+        differently; ``FittedModel.ranks`` and the ``fit-forecast`` summary
+        show the capped value.
         """
         cfg = self.config_echo
         lines = [

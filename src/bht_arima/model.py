@@ -6,6 +6,7 @@ of compressed core tensors, orthonormal per-mode factor bases, AR/MA
 coefficients, and shared error tensors, until the relative factor change
 drops below tolerance. Relaxed mode then frees the last factor in one
 unconstrained least-squares solve.
+A series mode compressed to its block-Hankel span is swept like any other.
 ``forecast`` propagates the core-space recursion and maps predictions back
 through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
@@ -229,8 +230,9 @@ def _hankel_spans(dx: np.ndarray, start: int) -> list[np.ndarray | None]:
     and so range(W). :func:`fit` caps that mode's rank at ``K_m``. Which
     modes qualify follows from the shapes alone; the window mode never
     does, and at most one series mode can: ``J_0 > K_0`` and ``J_1 > K_1``
-    would need both ``J_0 > J_1`` and ``J_1 > J_0``.
-    :class:`_SpanCoordinates` carries that mode through the fit.
+    would need both ``J_0 > J_1`` and ``J_1 > J_0``. :func:`fit` sweeps
+    ``Q.T dx`` with that mode like any other, holding its factor ``U = Q u``
+    as the rotation ``u``; on the ``start`` head slices ``u.T Q.T h = U.T h``.
     """
     n_series = dx.ndim - 2
     n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
@@ -276,9 +278,9 @@ def _factor_basis(
     factor rows and nothing else.
 
     For a mode with no more series than distinct Hankel columns this is the
-    thin SVD of the ``J x R`` matrix ``W``. For the compressed mode of
-    :class:`_SpanCoordinates`, ``partial`` holds span coordinates ``Q.T X``
-    and ``basis`` is ``Q``, so ``W`` is the ``K x R`` matrix ``Q.T W`` and
+    thin SVD of the ``J x R`` matrix ``W``. For the compressed mode, which
+    :func:`fit` sweeps on ``Q.T dx``, ``partial`` holds ``Q.T X`` and
+    ``basis`` is ``Q``, so ``W`` is the ``K x R`` matrix ``Q.T W`` and
     the result is the rotation ``u`` of the factor ``Q u``, whose signs are
     read on ``Q u``. Either way ``W`` is no wider than it is tall.
     """
@@ -287,34 +289,6 @@ def _factor_basis(
     w = unfold(partial, mode) @ unfold(cores, mode).T
     u = linalg.svd(w).u
     return _canonical_signs(u, u if basis is None else basis @ u)
-
-
-class _SpanCoordinates:
-    """The compressed series mode of a fit, carried in block-Hankel span
-    coordinates so that no ``J``-sized work runs inside the sweep.
-
-    With ``Q`` from :func:`_hankel_spans` (``K`` columns) and the mode's
-    rank capped at ``K``, the mode's factor is ``U = Q u`` for a ``K x R``
-    rotation ``u`` with orthonormal columns. The fit holds ``u``, projects
-    through it the data ``Q.T dx``, computed once per fit, and composes
-    ``U`` only for the returned model. Every mode-``mode`` fibre of the
-    objective range lies in range(Q), so there ``U.T`` acts as ``u.T`` on
-    ``Q.T X``, and on the ``start`` head slices ``u.T Q.T h`` equals
-    ``U.T h`` too, since ``U = Q u``.
-    """
-
-    def __init__(self, dx: np.ndarray, mode: int, basis: np.ndarray) -> None:
-        self.mode = mode
-        self.basis = basis
-        self.data = mode_product(dx, basis.T, mode)
-
-    def project(self, rotation: np.ndarray) -> np.ndarray:
-        """``U.T dx`` on the compressed mode for the rotation ``u``."""
-        return mode_product(self.data, rotation.T, self.mode)
-
-    def compose(self, rotation: np.ndarray) -> np.ndarray:
-        """The factor ``U = Q u`` for the rotation ``u``."""
-        return self.basis @ rotation
 
 
 def update_factor_relaxed(
@@ -436,14 +410,14 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     columns ``K_m`` (see :func:`_hankel_spans`; at most one mode, decided by
     the shapes alone) has its rank capped at ``K_m``, the most directions
     its data hold, whether the rank is automatic or given; the returned
-    model's ``ranks`` show the capped value. That mode runs in span
-    coordinates (see :class:`_SpanCoordinates`): the data are projected on
-    the span once, each sweep takes an SVD of at most ``K_m x K_m`` (see
-    :func:`_factor_basis`), and the factor has no null-space columns to
-    drift, so such fits converge. The other modes take the dense SVD, and a
-    fit with no compressed mode runs its whole sweep on the differenced data
-    itself. Every factor has canonical column signs (see
-    :func:`_factor_basis`), so permuting the series permutes the forecasts.
+    model's ``ranks`` show the capped value. The sweep runs on ``Q.T dx``,
+    the data projected once on that mode's span ``Q``, and sweeps the mode
+    like any other, as the rotation ``u`` of its factor ``Q u``: each sweep
+    takes an SVD of at most ``K_m x K_m`` (see :func:`_factor_basis`), and
+    the factor has no null-space columns to drift, so such fits converge.
+    Without a compressed mode the sweep runs on ``dx`` itself. Every factor
+    has canonical column signs (see :func:`_factor_basis`), so permuting
+    the series permutes the forecasts.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -470,24 +444,20 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     spans = _hankel_spans(dx, start)
     ranks = tuple(r if sp is None else min(r, sp.shape[1]) for r, sp in zip(ranks, spans))
     span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
-    span = None if span_mode is None else _SpanCoordinates(dx, span_mode, spans[span_mode])
-    # ``data`` is the objective's range, in span coordinates on the
-    # compressed mode; the factors start from its truncated HOSVD, the
-    # sweep's basis rule with the data standing in for the cores.
-    data = (dx if span is None else span.data)[..., start:]
+    # ``y`` is ``Q.T dx`` on the compressed mode, if any, else ``dx``. The
+    # factors start from the truncated HOSVD of its objective range ``data``,
+    # the sweep's basis rule with the data standing in for the cores.
+    y = dx if span_mode is None else mode_product(dx, spans[span_mode].T, span_mode)
+    data = y[..., start:]
     factors = [_factor_basis(data, data, mode, spans[mode])[:, :r] for mode, r in enumerate(ranks)]
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
     converged = ridge_used = err_skipped = False
 
-    # ``y`` is the data with the compressed mode, if any, projected on its
-    # current factor, whose rotation ``factors`` holds and every projection
-    # below skips; without one ``y`` is ``dx``. ``prefix`` is ``y`` projected
-    # on the modes already updated in this sweep: at the end of a sweep, the
-    # next sweep's cores.
-    y = dx if span is None else span.project(factors[span_mode])
-    prefix = _project(y, factors, {span_mode})
+    # ``prefix`` is ``y`` projected on the modes already updated in this
+    # sweep: at the end of a sweep, the next sweep's cores.
+    prefix = _project(y, factors, ())
     for _ in range(cfg.max_iter):
         cores = prefix
         est = estimate_coefficients(cores, p, q)
@@ -495,7 +465,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         prefix = y
         for mode in range(n_modes):
             # In place; at mode 0 this is ``cores``, whose lags are read first.
-            projection = _project(prefix, factors, {*range(mode), span_mode}) if mode else cores
+            projection = _project(prefix, factors, range(mode)) if mode else cores
             projection[..., start:] = update_core(
                 projection[..., start:],
                 [cores[..., start - i : n_diff - i] for i in range(1, p + 1)],
@@ -504,28 +474,18 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
                 est.beta,
             )
             cores = projection
-            if mode == span_mode:
-                # Span coordinates of the data in, the factor's rotation
-                # out; then ``y`` and ``prefix`` follow the factor.
-                partial = _project(data, factors, {mode})
-                factors[mode] = _factor_basis(partial, cores[..., start:], mode, span.basis)
-                y = span.project(factors[mode])
-                prefix = _project(y, factors, range(mode, n_modes))
-                continue
-            partial = _project(y[..., start:], factors, {mode, span_mode})
-            factors[mode] = _factor_basis(partial, cores[..., start:], mode)
+            partial = _project(data, factors, {mode})
+            factors[mode] = _factor_basis(partial, cores[..., start:], mode, spans[mode])
             prefix = mode_product(prefix, factors[mode].T, mode)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
-        # In span coordinates U - U_prev = Q (u - u_prev), with the same norm.
         # Every factor is orthonormal, so ||U||^2 summed over the modes is
-        # sum(ranks).
+        # sum(ranks). On the compressed mode ``u`` stands in for ``Q u``: the
+        # change has the same norm, ||u.T u - I|| up to the rounding of Q.T Q.
         change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
         delta = change / sum(ranks)
         trace.append(delta)
-        # On the compressed mode ||u.T u - I||, which is ||U.T U - I|| up to
-        # the rounding of Q.T Q.
         ortho_trace.append(
             max(float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors)
         )
@@ -536,11 +496,11 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     # projections under the final factors.
     if cfg.ortho == "relaxed":
         factors[-1], ridge_used = update_factor_relaxed(data, cores[..., start:], factors)
-        head = _project(y, factors, {n_modes - 1, span_mode})
+        head = _project(y, factors, {n_modes - 1})
         prefix = mode_product(head, linalg.pinv(factors[-1]), n_modes - 1)
     cores = prefix
-    if span is not None:
-        factors[span_mode] = span.compose(factors[span_mode])
+    if span_mode is not None:
+        factors[span_mode] = spans[span_mode] @ factors[span_mode]
 
     # Store that state with coefficients estimated from it, so the model is
     # self-consistent under the final factors.

@@ -1,8 +1,11 @@
 """Evaluation harness tests: metric, baselines, backtests, generators."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+import bht_arima.cli as cli
 import bht_arima.evaluate as evaluate
 from bht_arima.errors import ConfigError, DataFormatError
 from bht_arima.evaluate import (
@@ -12,7 +15,7 @@ from bht_arima.evaluate import (
     rolling_backtest,
     synth_dataset,
 )
-from bht_arima.model import ModelConfig
+from bht_arima.model import ModelConfig, fit
 
 
 def test_nrmse_basics():
@@ -250,6 +253,20 @@ def test_report_roundtrip_carries_config():
     assert parsed["ortho"] == cfg.ortho
     assert float(parsed["train_fraction"]) == 0.8
     assert float(parsed["nrmse"]) == pytest.approx(report.nrmse, rel=1e-8)
+
+
+def test_report_echoes_the_requested_ranks_while_fits_run_capped():
+    # 50 series over 20 steps: every refit's series mode holds more series
+    # than distinct Hankel columns, K = n - d - p - q at length n.
+    x = synth_dataset("sinusoid-mixture", 50, 20, 0.05, seed=3)
+    cfg = ModelConfig(ranks=(30, 3))
+    report = rolling_backtest(x, cfg, train_fraction=0.8)
+    assert "ranks = 30,3\n" in report.to_text()
+    # refits at different lengths cap differently
+    models = [fit(x[..., :n], cfg) for n in (16, 17)]
+    assert [m.ranks for m in models] == [(12, 3), (13, 3)]
+    args = argparse.Namespace(command="fit-forecast", dataset="panel.csv", horizon=1)
+    assert "ranks = 12,3\n" in cli._summary_text(args, models[0])
 
 
 def test_report_text_excludes_runtime():

@@ -922,6 +922,11 @@ def span_oracle_fit(x, cfg):
     }
 
 
+# J=60 series in mode 1 of a 2x60 panel, K_1 = 2 * (6 + 3 - 1) = 16 distinct
+# Hankel columns; mode 0 (J=2) has K_0 = 60 * 8 = 480 and stays dense.
+_MODE1_PANEL = synth_dataset("sinusoid-mixture", 120, 12, 0.05, seed=5).reshape(2, 60, 12)
+
+
 FIT_PANELS = {
     "20x40": BENCH,
     "12x8x48": synth_dataset("sinusoid-mixture", 96, 48, 0.05, seed=7).reshape(12, 8, 48),
@@ -971,15 +976,20 @@ def test_fit_bit_identical_to_fresh_projection_sweep(panel, cfg):
     assert np.array_equal(got_fc.embedded_forecasts, want_fc.embedded_forecasts)
 
 
+WORK_PANELS = {**FIT_PANELS, "2x60x12": _MODE1_PANEL}
+
+
 @pytest.mark.parametrize(
-    "panel, full, relaxed", [("20x40", 17, 19), ("200x120", 15, 16), ("12x8x48", 39, 42)]
+    "panel, full, relaxed",
+    [("20x40", 17, 19), ("200x120", 18, 20), ("12x8x48", 39, 42), ("2x60x12", 40, 43)],
 )
 def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     """Mode products one three-sweep fit makes, as a guard on projection
     work: the core updates share one running prefix, each factor's partial
-    projection is taken afresh from the data, a compressed mode projects the
-    data on its span once, and relaxed mode closes with one projection
-    through the last factor's pseudo-inverse."""
+    projection is taken afresh from the data, and relaxed mode closes with
+    one projection through the last factor's pseudo-inverse. A compressed
+    fit makes the dense sweep's products plus one projection of the data on
+    its span."""
     calls = []
 
     def counted(*args):
@@ -989,7 +999,7 @@ def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     monkeypatch.setattr(bht_arima.model, "mode_product", counted)
     for ortho, want in (("full", full), ("relaxed", relaxed)):
         calls.clear()
-        fit(FIT_PANELS[panel], ModelConfig(max_iter=3, tol=1e-30, ortho=ortho))
+        fit(WORK_PANELS[panel], ModelConfig(max_iter=3, tol=1e-30, ortho=ortho))
         assert len(calls) == want, ortho
 
 
@@ -1142,11 +1152,6 @@ def _assert_matches_jspace_reference(m, x, cfg):
     assert _rel_diff(forecast(m, 6).forecasts, forecast(ref, 6).forecasts) < 1e-10
 
 
-# J=60 series in mode 1 of a 2x60 panel, K_1 = 2 * (6 + 3 - 1) = 16 distinct
-# Hankel columns; mode 0 (J=2) has K_0 = 60 * 8 = 480 and stays dense.
-_MODE1_PANEL = synth_dataset("sinusoid-mixture", 120, 12, 0.05, seed=5).reshape(2, 60, 12)
-
-
 @pytest.mark.parametrize("max_iter", [2, 10])
 @pytest.mark.parametrize(
     "ranks, rank",
@@ -1272,10 +1277,12 @@ def test_explosive_yule_walker_fit_takes_the_biased_resolve():
 # --- metamorphic relations -----------------------------------------------------
 
 # 20x40 has no compressed mode; 200x60 has J=200 series against K = 57 - d
-# distinct Hankel columns, so its series mode runs capped in span coordinates.
+# distinct Hankel columns, so its series mode runs capped in span coordinates,
+# and so does mode 1 of 2x60x12, which the sweep reaches after the dense mode 0.
 META_PANELS = {
     "20x40": BENCH,
     "200x60": synth_dataset("sinusoid-mixture", 200, 60, 0.05, seed=7),
+    "2x60x12": _MODE1_PANEL,
 }
 META_CASES = [
     pytest.param(panel, ortho, d, id=f"{panel}-{ortho}-d{d}")
@@ -1297,10 +1304,12 @@ def _relative(got, want):
 @pytest.mark.parametrize("panel, ortho, d", META_CASES)
 def test_permuting_the_series_permutes_the_forecasts(panel, ortho, d):
     # Canonical factor signs make the fit independent of the row order
-    # LAPACK sees.
-    perm = np.random.default_rng(3).permutation(META_PANELS[panel].shape[0])
-    got = _meta_forecast(panel, ortho, d, lambda z: z[perm])
-    assert _relative(got, _meta_forecast(panel, ortho, d)[perm]) <= 1e-12
+    # LAPACK sees. The last series mode is permuted, which is the
+    # compressed one on the panels that have one.
+    axis = META_PANELS[panel].ndim - 2
+    perm = np.random.default_rng(3).permutation(META_PANELS[panel].shape[axis])
+    got = _meta_forecast(panel, ortho, d, lambda z: np.take(z, perm, axis))
+    assert _relative(got, np.take(_meta_forecast(panel, ortho, d), perm, axis)) <= 1e-12
 
 
 @pytest.mark.parametrize("panel, ortho, d", META_CASES)
@@ -1317,6 +1326,6 @@ def test_scaling_the_panel_scales_the_forecasts(panel, ortho, d):
 @pytest.mark.parametrize("panel", list(META_PANELS))
 def test_a_per_series_offset_shifts_the_forecasts(panel, ortho):
     # d = 1 differences the offset away.
-    offset = np.random.default_rng(5).uniform(-5.0, 5.0, (META_PANELS[panel].shape[0], 1))
+    offset = np.random.default_rng(5).uniform(-5.0, 5.0, (*META_PANELS[panel].shape[:-1], 1))
     got = _meta_forecast(panel, ortho, 1, lambda z: z + offset)
     assert _relative(got, _meta_forecast(panel, ortho, 1) + offset) <= 1e-12
