@@ -6,7 +6,8 @@ of compressed core tensors, orthonormal per-mode factor bases, AR/MA
 coefficients, and shared error tensors, until the relative factor change
 drops below tolerance. Relaxed mode then frees the last factor in one
 unconstrained least-squares solve.
-A series mode compressed to its block-Hankel span is swept like any other.
+A series mode compressed to its block-Hankel span is swept like any other,
+and every factor column keeps its sign from one sweep to the next.
 ``forecast`` propagates the core-space recursion and maps predictions back
 through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
@@ -24,8 +25,9 @@ random draw enters a fit.
 from __future__ import annotations
 
 import math
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -73,9 +75,10 @@ class ModelConfig:
     ``"relaxed"`` (the same sweeps, then one unconstrained least-squares
     solve for the last factor). ``p``, ``d``,
     ``q``, ``tau``, ``max_iter``, ``seed`` and every rank must be Python or
-    numpy integers; they are stored as ``int``. ``seed`` does not enter the
-    fit, which starts from the data alone; it is kept for the run
-    specification that reports echo.
+    numpy integers; they are stored as ``int``. ``ranks`` is a sequence and
+    ``tol`` a finite positive real (not a ``bool``), stored as ``float``.
+    ``seed`` does not enter the fit, which starts from the data alone; it is
+    kept for the run specification that reports echo.
     """
 
     p: int = 2
@@ -96,14 +99,19 @@ class ModelConfig:
             if value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
             object.__setattr__(self, name, int(value))
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+            raise ConfigError(f"tol must be a finite positive number, got {tol!r}")
+        object.__setattr__(self, "tol", float(tol))
         if self.ortho not in ("full", "relaxed"):
             raise ConfigError(f"ortho must be 'full' or 'relaxed', got {self.ortho!r}")
         if self.ranks is not None:
-            if not all(_is_integer(r) for r in self.ranks):
-                raise ConfigError(f"ranks must be integers, got {self.ranks!r}")
-            object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+            ranks = self.ranks
+            if not isinstance(ranks, (Sequence, np.ndarray)) or getattr(ranks, "ndim", 1) != 1:
+                raise ConfigError(f"ranks must be a sequence of integers, got {ranks!r}")
+            if not all(_is_integer(r) for r in ranks):
+                raise ConfigError(f"ranks must be integers, got {ranks!r}")
+            object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
 
     @property
     def s(self) -> int:
@@ -246,49 +254,40 @@ def _hankel_spans(dx: np.ndarray, start: int) -> list[np.ndarray | None]:
     return spans
 
 
-def _canonical_signs(u: np.ndarray, composed: np.ndarray) -> np.ndarray:
-    """``u`` with each column's sign flipped where needed so that the
-    largest-magnitude entry of that column of ``composed`` is positive.
-
-    ``composed`` is ``u`` itself, or the factor that ``u`` is the span
-    coordinates of. Sign flips are exact, so flipping ``u`` flips that
-    factor bit for bit.
-    """
-    peak = composed[np.argmax(np.abs(composed), axis=0), np.arange(composed.shape[1])]
-    return u * np.where(peak < 0, -1.0, 1.0)
-
-
 def _factor_basis(
-    partial: np.ndarray, cores: np.ndarray, mode: int, basis: np.ndarray | None = None
+    partial: np.ndarray, cores: np.ndarray, mode: int, previous: np.ndarray | None = None
 ) -> np.ndarray:
     """Orthonormal factor used inside the fit loop: the left singular basis
     of the alignment matrix ``W = sum_t X_t^(mode) U^(-mode).T G_t^(mode).T``,
-    with canonical column signs.
+    each column signed to continue the same column of ``previous``.
 
     ``partial`` is the stacked data projected on every mode but ``mode``.
     The basis pins the within-subspace rotation to the singular vectors: a
     rotation-free Procrustes map ``u @ v.T`` would, with full Tucker ranks,
     let the autoregressive terms spin the factors by a constant angle every
     sweep, so the relative-factor-change stopping rule would never fire.
-    The signs LAPACK returns depend on the order of the rows it sees, and
-    the sweep is not invariant to them (the core update mixes new
-    projections with lagged cores of the old signs), so each column is
-    flipped to make its largest-magnitude entry positive (Bro, Acar &
-    Kolda, *J. Chemometrics* 2008). Permuting the series then permutes the
+    The core update mixes new projections with lagged cores and error
+    tensors in the old factor's coordinates, so a column that LAPACK
+    returns pointing against its ``previous`` column is negated. The HOSVD
+    start (no ``previous``) keeps LAPACK's signs, a pure gauge that later
+    sweeps follow. Mixing the series by an orthogonal matrix then mixes the
     factor rows and nothing else.
 
     For a mode with no more series than distinct Hankel columns this is the
     thin SVD of the ``J x R`` matrix ``W``. For the compressed mode, which
-    :func:`fit` sweeps on ``Q.T dx``, ``partial`` holds ``Q.T X`` and
-    ``basis`` is ``Q``, so ``W`` is the ``K x R`` matrix ``Q.T W`` and
-    the result is the rotation ``u`` of the factor ``Q u``, whose signs are
-    read on ``Q u``. Either way ``W`` is no wider than it is tall.
+    :func:`fit` sweeps on ``Q.T dx``, ``partial`` holds ``Q.T X``, so ``W``
+    is the ``K x R`` matrix ``Q.T W`` and the result is the rotation ``u``
+    of the factor ``Q u``; ``Q`` has orthonormal columns, so ``u`` and
+    ``Q u`` have the same inner products. Either way ``W`` is no wider than
+    it is tall.
     """
     # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
     # so one product sums over t.
     w = unfold(partial, mode) @ unfold(cores, mode).T
     u = linalg.svd(w).u
-    return _canonical_signs(u, u if basis is None else basis @ u)
+    if previous is None:
+        return u
+    return u * np.where(np.einsum("ij,ij->j", u, previous) < 0, -1.0, 1.0)
 
 
 def update_factor_relaxed(
@@ -416,8 +415,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     takes an SVD of at most ``K_m x K_m`` (see :func:`_factor_basis`), and
     the factor has no null-space columns to drift, so such fits converge.
     Without a compressed mode the sweep runs on ``dx`` itself. Every factor
-    has canonical column signs (see :func:`_factor_basis`), so permuting
-    the series permutes the forecasts.
+    column keeps its sign from the previous sweep (see
+    :func:`_factor_basis`), so mixing the series by an orthogonal matrix
+    mixes the forecasts, and a sign flip is never counted as factor change.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -449,7 +449,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     # the sweep's basis rule with the data standing in for the cores.
     y = dx if span_mode is None else mode_product(dx, spans[span_mode].T, span_mode)
     data = y[..., start:]
-    factors = [_factor_basis(data, data, mode, spans[mode])[:, :r] for mode, r in enumerate(ranks)]
+    factors = [_factor_basis(data, data, mode)[:, :r] for mode, r in enumerate(ranks)]
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
@@ -475,7 +475,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             )
             cores = projection
             partial = _project(data, factors, {mode})
-            factors[mode] = _factor_basis(partial, cores[..., start:], mode, spans[mode])
+            factors[mode] = _factor_basis(partial, cores[..., start:], mode, factors[mode])
             prefix = mode_product(prefix, factors[mode].T, mode)
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
