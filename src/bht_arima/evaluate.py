@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelConfig, _is_integer, _require_finite, append_observation, fit, forecast
+from .model import (
+    ModelConfig,
+    _is_integer,
+    _real_array,
+    _require_finite,
+    append_observation,
+    fit,
+    forecast,
+)
 from .tensor import frobenius_norm
 
 __all__ = [
@@ -150,11 +158,12 @@ def rolling_backtest(
     step unless ``refit=False`` (then a single fitted model advances without
     refitting). With ``horizon > 1``, one model is fit on the prefix and
     forecasts the next ``horizon`` slices recursively. Before any fit, a
-    non-finite value anywhere in ``x`` raises ``DataFormatError``, and a
-    scored slice with zero norm, against which NRMSE is undefined,
-    ``ConfigError``.
+    complex panel, one that does not cast to float64 (a word among the
+    values) or one that holds a non-finite value raises
+    ``DataFormatError``, and a scored slice with zero norm, against which
+    NRMSE is undefined, ``ConfigError``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "panel")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
     t_len = x.shape[-1]

@@ -6,8 +6,10 @@ of compressed core tensors, orthonormal per-mode factor bases, AR/MA
 coefficients, and shared error tensors, until the relative factor change
 drops below tolerance. Relaxed mode then frees the last factor in one
 unconstrained least-squares solve.
-A series mode compressed to its block-Hankel span is swept like any other,
-and every factor column keeps its sign from one sweep to the next.
+A series mode compressed to its block-Hankel span is held at the span's
+basis ``Q`` when its rank reaches the span's dimension, and below that is
+swept like any other; every swept factor column keeps its sign from one
+sweep to the next.
 ``forecast`` propagates the core-space recursion and maps predictions back
 through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
@@ -238,9 +240,12 @@ def _hankel_spans(dx: np.ndarray, start: int) -> list[np.ndarray | None]:
     and so range(W). :func:`fit` caps that mode's rank at ``K_m``. Which
     modes qualify follows from the shapes alone; the window mode never
     does, and at most one series mode can: ``J_0 > K_0`` and ``J_1 > K_1``
-    would need both ``J_0 > J_1`` and ``J_1 > J_0``. :func:`fit` sweeps
-    ``Q.T dx`` with that mode like any other, holding its factor ``U = Q u``
-    as the rotation ``u``; on the ``start`` head slices ``u.T Q.T h = U.T h``.
+    would need both ``J_0 > J_1`` and ``J_1 > J_0``. :func:`fit` runs its
+    sweep on ``Q.T dx``. At the cap the factor is ``Q`` itself, held and
+    never swept: any ``Q u`` with ``u`` square orthogonal spans the same
+    space, and the objective cannot see the rotation. Below the cap the mode
+    is swept like any other, its factor ``U = Q u`` held as the rotation
+    ``u``; on the ``start`` head slices ``u.T Q.T h = U.T h``.
     """
     n_series = dx.ndim - 2
     n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
@@ -274,12 +279,13 @@ def _factor_basis(
     factor rows and nothing else.
 
     For a mode with no more series than distinct Hankel columns this is the
-    thin SVD of the ``J x R`` matrix ``W``. For the compressed mode, which
-    :func:`fit` sweeps on ``Q.T dx``, ``partial`` holds ``Q.T X``, so ``W``
-    is the ``K x R`` matrix ``Q.T W`` and the result is the rotation ``u``
-    of the factor ``Q u``; ``Q`` has orthonormal columns, so ``u`` and
-    ``Q u`` have the same inner products. Either way ``W`` is no wider than
-    it is tall.
+    thin SVD of the ``J x R`` matrix ``W``. For a compressed mode below its
+    cap, which :func:`fit` sweeps on ``Q.T dx``, ``partial`` holds
+    ``Q.T X``, so ``W`` is the ``K x R`` matrix ``Q.T W`` and the result is
+    the rotation ``u`` of the factor ``Q u``; ``Q`` has orthonormal columns,
+    so ``u`` and ``Q u`` have the same inner products. Either way ``W`` is
+    no wider than it is tall. A compressed mode at its cap ``K`` never comes
+    here: :func:`fit` holds it at ``Q``.
     """
     # Unfolding a (*shape, n_t) stack lays the slices' columns side by side,
     # so one product sums over t.
@@ -293,7 +299,7 @@ def _factor_basis(
 def update_factor_relaxed(
     xs: np.ndarray,
     cores: np.ndarray,
-    factors: list[np.ndarray] | tuple[np.ndarray, ...],
+    factors: Sequence[np.ndarray | None],
 ) -> tuple[np.ndarray, bool]:
     """Unconstrained least-squares update of the last-mode factor.
 
@@ -301,12 +307,13 @@ def update_factor_relaxed(
     X_t^(last) @ pinv(U^(-last))``; a singular Gram sum is ridge-regularized
     with ``1e-8 * trace / size`` and flagged. The leading factors must have
     orthonormal columns, so the Kronecker chain's pseudo-inverse is its
-    transpose.
+    transpose. A ``None`` leading factor is the identity, and its mode is
+    left as it is.
     """
     last = len(factors) - 1
     if last < 1:
         raise ValueError("relaxed update needs at least two embedded modes")
-    a_stack = multi_mode_product(xs, [f.T for f in factors[:last]])
+    a_stack = _project(xs, factors, {last})
     am = unfold(a_stack, last)
     gm = unfold(cores, last)
     gram = am @ am.T
@@ -376,12 +383,34 @@ def _projectors(model: FittedModel) -> list[np.ndarray]:
     return mats
 
 
-def _project(t: np.ndarray, factors: list[np.ndarray], skip: Container[int]) -> np.ndarray:
-    """``t`` times ``f.T`` on every mode not in ``skip``, in mode order."""
+def _project(
+    t: np.ndarray, factors: Sequence[np.ndarray | None], skip: Container[int]
+) -> np.ndarray:
+    """``t`` times ``f.T`` on every mode not in ``skip``, in mode order; a
+    ``None`` factor is the identity and its mode is left as it is."""
     for mode, f in enumerate(factors):
-        if mode not in skip:
+        if f is not None and mode not in skip:
             t = mode_product(t, f.T, mode)
     return t
+
+
+def _ortho_defect(f: np.ndarray) -> float:
+    """``||f.T f - I||_F``: how far ``f``'s columns are from orthonormal."""
+    return float(np.linalg.norm(f.T @ f - np.eye(f.shape[1])))
+
+
+def _real_array(x: object, what: str) -> np.ndarray:
+    """``x`` cast to a float64 array. Complex input, whose imaginary part
+    the cast would drop with only a warning, and input the cast cannot
+    take, such as a word in a string or object array, raise
+    :class:`DataFormatError` naming the dtype."""
+    arr = np.asarray(x)
+    if arr.dtype.kind != "c":
+        try:
+            return arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError):
+            pass
+    raise DataFormatError(f"{what}: expected real numbers, got dtype {arr.dtype}")
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:
@@ -410,14 +439,19 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     the shapes alone) has its rank capped at ``K_m``, the most directions
     its data hold, whether the rank is automatic or given; the returned
     model's ``ranks`` show the capped value. The sweep runs on ``Q.T dx``,
-    the data projected once on that mode's span ``Q``, and sweeps the mode
-    like any other, as the rotation ``u`` of its factor ``Q u``: each sweep
-    takes an SVD of at most ``K_m x K_m`` (see :func:`_factor_basis`), and
-    the factor has no null-space columns to drift, so such fits converge.
-    Without a compressed mode the sweep runs on ``dx`` itself. Every factor
-    column keeps its sign from the previous sweep (see
-    :func:`_factor_basis`), so mixing the series by an orthogonal matrix
-    mixes the forecasts, and a sign flip is never counted as factor change.
+    the data projected once on that mode's span ``Q``. At the cap, as every
+    automatic rank on a tall panel is, the mode is held at ``Q``: its factor
+    on ``Q.T dx`` is the identity, so it takes no start, no SVD and no
+    product, its step in each sweep updates only the cores, its factor
+    change is zero, and the returned factor is ``Q`` itself. Below the cap
+    the mode is swept like any other, as the rotation ``u`` of its factor
+    ``Q u``: each sweep takes an SVD of at most ``K_m x K_m`` (see
+    :func:`_factor_basis`), and the factor has no null-space columns to
+    drift, so such fits converge. Without a compressed mode the sweep runs
+    on ``dx`` itself. Every swept factor column keeps its sign from the
+    previous sweep (see :func:`_factor_basis`), so mixing the series by an
+    orthogonal matrix mixes the forecasts, and a sign flip is never counted
+    as factor change.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -425,7 +459,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     through its pseudo-inverse. Inside every sweep the solve would drift
     along the scaling ``(U_N c, G / c)`` that leaves the model unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "input data")
     _require_finite(x, "input data")
     cfg.validate_for(x.shape)
     p, q = cfg.p, cfg.q
@@ -444,12 +478,24 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     spans = _hankel_spans(dx, start)
     ranks = tuple(r if sp is None else min(r, sp.shape[1]) for r, sp in zip(ranks, spans))
     span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
-    # ``y`` is ``Q.T dx`` on the compressed mode, if any, else ``dx``. The
-    # factors start from the truncated HOSVD of its objective range ``data``,
-    # the sweep's basis rule with the data standing in for the cores.
+    # ``y`` is ``Q.T dx`` on the compressed mode, if any, else ``dx``. A
+    # compressed mode at its cap ``K`` is held at ``Q``: on ``y`` its factor is
+    # the identity, kept as ``None``, so it takes no start, no basis and no
+    # product. The other factors start from the truncated HOSVD of ``y``'s
+    # objective range ``data``, the sweep's basis rule with the data standing
+    # in for the cores.
     y = dx if span_mode is None else mode_product(dx, spans[span_mode].T, span_mode)
     data = y[..., start:]
-    factors = [_factor_basis(data, data, mode)[:, :r] for mode, r in enumerate(ranks)]
+    held = next(
+        (m for m, sp in enumerate(spans) if sp is not None and ranks[m] == sp.shape[1]), None
+    )
+    factors: list[np.ndarray | None] = [
+        None if mode == held else _factor_basis(data, data, mode)[:, :r]
+        for mode, r in enumerate(ranks)
+    ]
+    # The held factor's orthonormality defect is that of ``Q``, the same in
+    # every sweep.
+    held_defect = [] if held is None else [_ortho_defect(spans[held])]
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
@@ -461,7 +507,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     for _ in range(cfg.max_iter):
         cores = prefix
         est = estimate_coefficients(cores, p, q)
-        previous = [f.copy() for f in factors]
+        previous = list(factors)
         prefix = y
         for mode in range(n_modes):
             # In place; at mode 0 this is ``cores``, whose lags are read first.
@@ -474,6 +520,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
                 est.beta,
             )
             cores = projection
+            # The held mode's step updates the cores only.
+            if mode == held:
+                continue
             partial = _project(data, factors, {mode})
             factors[mode] = _factor_basis(partial, cores[..., start:], mode, factors[mode])
             prefix = mode_product(prefix, factors[mode].T, mode)
@@ -481,14 +530,13 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
         # Every factor is orthonormal, so ||U||^2 summed over the modes is
-        # sum(ranks). On the compressed mode ``u`` stands in for ``Q u``: the
-        # change has the same norm, ||u.T u - I|| up to the rounding of Q.T Q.
-        change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
-        delta = change / sum(ranks)
+        # sum(ranks). On a swept compressed mode ``u`` stands in for ``Q u``:
+        # the change has the same norm, ||u.T u - I|| up to the rounding of
+        # Q.T Q. The held mode's change is zero.
+        swept = [(f, pf) for f, pf in zip(factors, previous) if f is not None]
+        delta = sum(float(np.sum((f - pf) ** 2)) for f, pf in swept) / sum(ranks)
         trace.append(delta)
-        ortho_trace.append(
-            max(float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors)
-        )
+        ortho_trace.append(max(held_defect + [_ortho_defect(f) for f, _ in swept]))
         if delta < cfg.tol:
             converged = True
             break
@@ -499,7 +547,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         head = _project(y, factors, {n_modes - 1})
         prefix = mode_product(head, linalg.pinv(factors[-1]), n_modes - 1)
     cores = prefix
-    if span_mode is not None:
+    if held is not None:
+        factors[held] = spans[held]
+    elif span_mode is not None:
         factors[span_mode] = spans[span_mode] @ factors[span_mode]
 
     # Store that state with coefficients estimated from it, so the model is
@@ -601,7 +651,7 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     history length.
     The input model is left unchanged.
     """
-    new_slice = np.asarray(new_slice, dtype=np.float64)
+    new_slice = _real_array(new_slice, "appended slice")
     if new_slice.shape != model.original_shape[:-1]:
         raise ValueError(
             f"slice shape {new_slice.shape} != {model.original_shape[:-1]}"

@@ -181,6 +181,37 @@ def test_rolling_backtest_refuses_non_finite_panel_before_fitting(
         rolling_backtest(x, ModelConfig(), 0.8, horizon=horizon, refit=refit)
 
 
+def _with_a_word(z):
+    """A copy of the string or object array ``z`` whose first entry is a word."""
+    z = z.copy()
+    z.flat[0] = "n/a"
+    return z
+
+
+@pytest.mark.parametrize(
+    "convert, dtype",
+    [
+        pytest.param(lambda z: z + 5j, "complex128", id="complex"),
+        pytest.param(lambda z: _with_a_word(z.astype(str)), "<U", id="strings"),
+        pytest.param(lambda z: _with_a_word(z.astype(object)), "object", id="object"),
+    ],
+)
+@pytest.mark.parametrize("refit", [True, False])
+def test_rolling_backtest_refuses_a_non_real_panel_before_fitting(
+    monkeypatch, convert, dtype, refit
+):
+    # A float64 cast would score the real part alone, or fail inside numpy
+    # with a bare ValueError.
+    x = synth_dataset("sinusoid-mixture", 5, 40, 0.05, seed=1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit before the panel was checked")
+
+    monkeypatch.setattr(evaluate, "fit", forbidden)
+    with pytest.raises(DataFormatError, match=rf"panel: .*dtype {dtype}"):
+        rolling_backtest(convert(x), ModelConfig(), 0.8, refit=refit)
+
+
 def test_rolling_backtest_scores_only_the_first_horizon_slices():
     # the multi-step protocol scores slices 24..27, so a zero slice 28 is fine
     x = synth_dataset("sinusoid-mixture", 5, 30, 0.05, seed=1)

@@ -688,6 +688,50 @@ def test_fit_rejects_non_finite_input(bad, capfd):
     assert "DLASCL" not in capfd.readouterr().err
 
 
+def _with_a_word(z):
+    """A copy of the string or object array ``z`` whose first entry is a word."""
+    z = z.copy()
+    z.flat[0] = "n/a"
+    return z
+
+
+NON_REAL = [
+    pytest.param(lambda z: z + 5j, "complex128", id="complex"),
+    pytest.param(lambda z: _with_a_word(z.astype(str)), "<U", id="strings"),
+    pytest.param(lambda z: _with_a_word(z.astype(object)), "object", id="object"),
+]
+
+
+@pytest.mark.parametrize("convert, dtype", NON_REAL)
+def test_fit_rejects_non_real_input_before_any_work(monkeypatch, convert, dtype):
+    # A float64 cast would drop the imaginary part with only a warning, or
+    # fail inside numpy with a bare ValueError.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("embedding before the input was checked")
+
+    monkeypatch.setattr(bht_arima.model, "mdt_temporal", forbidden)
+    with pytest.raises(DataFormatError, match=rf"input data: .*dtype {dtype}"):
+        fit(convert(BENCH), BENCH_CFG)
+
+
+@pytest.mark.parametrize("kind", [object, str])
+def test_fit_still_casts_numeric_objects_and_text(kind):
+    got = forecast(fit(BENCH.astype(kind), BENCH_CFG), 3).forecasts
+    assert np.array_equal(got, forecast(fit(BENCH, BENCH_CFG), 3).forecasts)
+
+
+@pytest.mark.parametrize("convert, dtype", NON_REAL)
+def test_append_observation_rejects_a_non_real_slice(monkeypatch, convert, dtype):
+    m = fit(BENCH[..., :36], BENCH_CFG)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("differencing before the slice was checked")
+
+    monkeypatch.setattr(bht_arima.model, "_difference_step", forbidden)
+    with pytest.raises(DataFormatError, match=rf"appended slice: .*dtype {dtype}"):
+        append_observation(m, convert(BENCH[..., 36]))
+
+
 def test_append_observation_rejects_non_finite_slice():
     m = fit(BENCH[..., :36], BENCH_CFG)
     new = BENCH[..., 36].copy()
@@ -760,9 +804,11 @@ def oracle_fit(x, cfg):
     distinct Hankel columns K takes the SVD inside their span, with its rank
     capped at K and its factor and the data kept in J-space: ``fit`` runs
     that mode in span coordinates (``span_oracle_fit``) and agrees with this
-    to 1e-10. The start keeps LAPACK's signs, and every sweep signs each
-    factor column to continue the column it replaces. Relaxed mode sweeps as
-    full mode does, then solves once for the last factor."""
+    to 1e-10. At the cap the factor is the span basis ``Q`` itself, from the
+    start and in every sweep, whose step updates only the cores. The start
+    keeps LAPACK's signs, and every sweep signs each swept factor column to
+    continue the column it replaces. Relaxed mode sweeps as full mode does,
+    then solves once for the last factor."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
@@ -772,14 +818,17 @@ def oracle_fit(x, cfg):
     ranks = _oracle_ranks(cfg, emb_shape, spans)
     # The truncated HOSVD of the objective's range, inside the span on a
     # compressed mode, and zero error tensors.
+    held = [span is not None and r == span.shape[1] for r, span in zip(ranks, spans)]
     factors = []
     for mode, r in enumerate(ranks):
-        if spans[mode] is None:
+        if held[mode]:
+            factors.append(spans[mode])
+        elif spans[mode] is None:
             w = unfold(dx[..., start:], mode) @ unfold(dx[..., start:], mode).T
             factors.append(linalg.svd(w).u[:, :r])
-            continue
-        small = spans[mode].T @ unfold(dx[..., start:], mode)
-        factors.append((spans[mode] @ linalg.svd(small @ small.T).u)[:, :r])
+        else:
+            small = spans[mode].T @ unfold(dx[..., start:], mode)
+            factors.append((spans[mode] @ linalg.svd(small @ small.T).u)[:, :r])
     errors = [np.zeros(ranks) for _ in range(q)]
     trace, ortho_trace = [], []
     converged = ridge_used = err_skipped = False
@@ -796,6 +845,8 @@ def oracle_fit(x, cfg):
                     projection[..., j], lags, errors, est.alpha, est.beta
                 )
             cores = new_cores
+            if held[mode]:
+                continue
             partial = _sweep_project(dx[..., start:], _sweep_projectors(factors), skip=mode)
             if spans[mode] is None:
                 w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
@@ -840,11 +891,13 @@ def oracle_fit(x, cfg):
 
 def span_oracle_fit(x, cfg):
     """``oracle_fit`` for a fit with a compressed mode ``c``, in span
-    coordinates as ``fit`` runs it: the data enter as ``Q.T dx`` and the
-    factor ``Q u`` as its rotation ``u``, aligned like any other factor.
-    Every projection is still recomputed at every mode, the core update
-    runs one step at a time, and relaxed mode solves once for the last
-    factor after the sweeps."""
+    coordinates as ``fit`` runs it: the data enter as ``Q.T dx``. Below its
+    cap K the mode is swept as the rotation ``u`` of its factor ``Q u``,
+    aligned like any other factor. At the cap it is held at ``Q``, whose
+    rotation is the identity: no start, no SVD and no product, zero change,
+    and ``||Q.T Q - I||`` as its orthonormality defect. Every projection is
+    still recomputed at every mode, the core update runs one step at a time,
+    and relaxed mode solves once for the last factor after the sweeps."""
     p, q = cfg.p, cfg.q
     embedded = mdt_temporal(x, cfg.tau)
     emb_shape = embedded.shape[:-1]
@@ -854,29 +907,39 @@ def span_oracle_fit(x, cfg):
     ranks = _oracle_ranks(cfg, emb_shape, spans)
     (c,) = [m for m, span in enumerate(spans) if span is not None]
     basis = spans[c]
+    held = ranks[c] == basis.shape[1]
     data = mode_product(dx, basis.T, c)
     # The truncated HOSVD of the objective's range in span coordinates, and
     # zero error tensors.
     factors = []
     for mode, r in enumerate(ranks):
+        if held and mode == c:
+            factors.append(None)
+            continue
         w = unfold(data[..., start:], mode) @ unfold(data[..., start:], mode).T
         factors.append(linalg.svd(w).u[:, :r])
-    y = mode_product(data, factors[c].T, c)
+    y = data if held else mode_product(data, factors[c].T, c)
     errors = [np.zeros(ranks) for _ in range(q)]
 
     def project(t, skip=(), relaxed=False):
-        mats = _sweep_projectors(factors, relaxed)
         for mode in range(n_modes):
             if mode != c and mode not in skip:
-                t = mode_product(t, mats[mode], mode)
+                mat = factors[mode].T
+                if relaxed and mode == n_modes - 1:
+                    mat = linalg.pinv(factors[mode])
+                t = mode_product(t, mat, mode)
         return t
 
+    def defect(f):
+        return float(np.linalg.norm(f.T @ f - np.eye(f.shape[1])))
+
+    held_defect = [defect(basis)] if held else []
     trace, ortho_trace = [], []
     converged = ridge_used = err_skipped = False
     for _ in range(cfg.max_iter):
         cores = project(y)
         est = estimate_coefficients(cores, p, q)
-        previous = [f.copy() for f in factors]
+        previous = list(factors)
         for mode in range(n_modes):
             projection = project(y)
             new_cores = projection.copy()
@@ -886,6 +949,8 @@ def span_oracle_fit(x, cfg):
                     projection[..., j], lags, errors, est.alpha, est.beta
                 )
             cores = new_cores
+            if held and mode == c:
+                continue
             source = data if mode == c else y
             partial = project(source[..., start:], skip={mode})
             w = unfold(partial, mode) @ unfold(cores[..., start:], mode).T
@@ -895,12 +960,11 @@ def span_oracle_fit(x, cfg):
         for i in range(q):
             errors[i], skipped = update_error(cores, est.alpha, est.beta, errors, i)
             err_skipped = err_skipped or skipped
-        change = sum(float(np.sum((f - pf) ** 2)) for f, pf in zip(factors, previous))
+        swept = [m for m in range(n_modes) if not (held and m == c)]
+        change = sum(float(np.sum((factors[m] - previous[m]) ** 2)) for m in swept)
         delta = change / sum(ranks)
         trace.append(delta)
-        ortho_trace.append(max(
-            float(np.linalg.norm(f.T @ f - np.eye(f.shape[1]))) for f in factors
-        ))
+        ortho_trace.append(max(held_defect + [defect(factors[m]) for m in swept]))
         if delta < cfg.tol:
             converged = True
             break
@@ -910,7 +974,7 @@ def span_oracle_fit(x, cfg):
             data[..., start:], cores[..., start:], factors
         )
     cores = project(y, relaxed=relaxed)
-    factors[c] = basis @ factors[c]
+    factors[c] = basis if held else basis @ factors[c]
     return {
         "factors": tuple(factors),
         "cores": cores,
@@ -949,6 +1013,8 @@ FIT_CASES = [
     # Large enough that BLAS blocks its products differently by operand
     # shape: a partial projection sliced from the full-stack one differs here.
     pytest.param("200x120", ModelConfig(max_iter=2), id="200x120-full"),
+    # Below its cap K = 116 the compressed mode is swept in span coordinates.
+    pytest.param("200x120", ModelConfig(ranks=(100, 3), max_iter=2), id="200x120-r100"),
 ]
 
 
@@ -985,15 +1051,17 @@ WORK_PANELS = {**FIT_PANELS, "2x60x12": _MODE1_PANEL}
 
 @pytest.mark.parametrize(
     "panel, full, relaxed",
-    [("20x40", 17, 19), ("200x120", 18, 20), ("12x8x48", 39, 42), ("2x60x12", 40, 43)],
+    [("20x40", 17, 20), ("200x120", 8, 9), ("12x8x48", 39, 44), ("2x60x12", 21, 24)],
 )
 def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     """Mode products one three-sweep fit makes, as a guard on projection
     work: the core updates share one running prefix, each factor's partial
     projection is taken afresh from the data, and relaxed mode closes with
-    one projection through the last factor's pseudo-inverse. A compressed
-    fit makes the dense sweep's products plus one projection of the data on
-    its span."""
+    the last-factor solve's projection on the leading modes and one
+    projection through the last factor's pseudo-inverse. The compressed
+    mode of 200x120 and 2x60x12 runs at its cap: after one projection of
+    the data on its span it is held, so no product, start or basis is
+    taken on it."""
     calls = []
 
     def counted(*args):
@@ -1106,14 +1174,21 @@ def test_full_fit_converges_on_200x90(seed):
     assert m.trace[-1] < cfg.tol
 
 
-def _compressed_modes(m):
-    """Series modes whose extent exceeds their count of distinct Hankel columns."""
+def _column_counts(m):
+    """Per series mode, its count K of distinct Hankel columns."""
     series = m.embedded_shape[:-1]
     n_distinct = m.cores.shape[-1] - (m.config.p + m.config.q) + m.tau - 1
-    return [
-        mode for mode, j in enumerate(series)
-        if j > math.prod(series) // j * n_distinct
-    ]
+    return [math.prod(series) // j * n_distinct for j in series]
+
+
+def _compressed_modes(m):
+    """Series modes whose extent exceeds their count of distinct Hankel columns."""
+    return [mode for mode, k in enumerate(_column_counts(m)) if m.embedded_shape[mode] > k]
+
+
+def _held_modes(m):
+    """Compressed modes at their cap K, which ``fit`` holds at the span basis."""
+    return [mode for mode in _compressed_modes(m) if m.ranks[mode] == _column_counts(m)[mode]]
 
 
 _RW = synth_dataset("random-walk", 50, 12, 0.05, seed=3)
@@ -1153,11 +1228,11 @@ def _assert_matches_jspace_reference(m, x, cfg):
     """``fit`` (span coordinates) agrees with ``oracle_fit``'s J-space sweep,
     which projects the data through the composed ``J x R`` factor at every
     mode: the projectors ``U Uᵀ``, the cores and the forecasts to 1e-10, the
-    per-sweep factor change to 1e-8 relative, the sweep count and the
-    stopping decision exactly."""
+    per-sweep factor change to 1e-8 relative (a zero change exactly), the
+    sweep count and the stopping decision exactly."""
     want = oracle_fit(x, cfg)
     assert (m.iterations_used, m.converged) == (want["iterations_used"], want["converged"])
-    assert np.max(np.abs(m.trace - want["trace"]) / want["trace"]) < 1e-8
+    assert np.all(np.abs(m.trace - want["trace"]) <= 1e-8 * want["trace"])
     for got_f, want_f in zip(m.factors, want["factors"]):
         assert _rel_diff(got_f @ got_f.T, want_f @ want_f.T) < 1e-10
     assert _rel_diff(m.cores, want["cores"]) < 1e-10
@@ -1385,11 +1460,12 @@ def test_factor_columns_keep_their_sign_between_sweeps(monkeypatch, x, cfg):
     basis = bht_arima.model._factor_basis
     monkeypatch.setattr(bht_arima.model, "_factor_basis", recording)
     m = fit(x, cfg)
-    n_modes = len(m.factors)
-    assert len(returned) == n_modes * (m.iterations_used + 1)
+    # A compressed mode at its cap is held, and no basis is taken on it.
+    n_swept = len(m.factors) - len(_held_modes(m))
+    assert len(returned) == n_swept * (m.iterations_used + 1)
     # The start returns the whole singular basis; the fit keeps the leading
     # columns, as many as each sweep returns.
-    for old, new in zip(returned, returned[n_modes:]):
+    for old, new in zip(returned, returned[n_swept:]):
         assert np.all(np.sum(new * old[:, : new.shape[1]], axis=0) >= 0)
 
 
@@ -1399,6 +1475,70 @@ def test_fit_large_is_not_held_back_by_sign_flips():
     # and -0.0956 here; each flip reads as a factor change of 4/189, and the
     # fit runs 5 sweeps.
     assert fit(LARGE_PANEL, ModelConfig()).iterations_used <= 3
+
+
+# --- the capped compressed mode is held at its span basis ------------------------
+
+
+def _spans_of(x, cfg):
+    dx = difference(mdt_temporal(x, cfg.tau), cfg.d).slices
+    return bht_arima.model._hankel_spans(dx, cfg.p + cfg.q)
+
+
+@pytest.mark.parametrize(
+    "x, cfg, held",
+    [
+        pytest.param(LARGE_PANEL, ModelConfig(), [0], id="1000x190-auto"),
+        pytest.param(FIT_PANELS["200x120"], ModelConfig(), [0], id="200x120-auto"),
+        pytest.param(_MODE1_PANEL, ModelConfig(), [1], id="2x60x12-auto"),
+        pytest.param(_MODE1_PANEL, ModelConfig(ortho="relaxed"), [1], id="2x60x12-relaxed"),
+        pytest.param(LARGE_PANEL, ModelConfig(ranks=(6, 3)), [], id="1000x190-6-3"),
+    ],
+)
+def test_capped_compressed_mode_takes_no_svd(monkeypatch, x, cfg, held):
+    # At its cap K the compressed factor Q u is a rotation of the span Q that
+    # the objective cannot see, so the mode is held at Q: no SVD of K rows,
+    # neither the start nor a sweep's. Below the cap it is swept as before.
+    rows = []
+
+    def recording(a):
+        rows.append(np.shape(a)[0])
+        return svd(a)
+
+    svd = bht_arima.linalg.svd
+    monkeypatch.setattr(bht_arima.linalg, "svd", recording)
+    m = fit(x, cfg)
+    (c,) = _compressed_modes(m)
+    assert _held_modes(m) == held
+    k = _column_counts(m)[c]
+    if held:
+        assert k not in rows
+        assert np.array_equal(m.factors[c], _spans_of(x, cfg)[c])
+    else:
+        # the start and every sweep take the mode's SVD in span coordinates
+        assert rows.count(k) == m.iterations_used + 1
+
+
+@pytest.mark.parametrize("ortho", ["full", "relaxed"])
+@pytest.mark.parametrize(
+    "x", [LARGE_PANEL, _MODE1_PANEL], ids=["1000x190", "2x60x12"]
+)
+def test_any_basis_of_the_span_gives_the_same_forecasts(monkeypatch, x, ortho):
+    # Holding the capped mode at Q loses nothing: Q V, for any orthogonal V,
+    # spans the same space and gives the same forecasts to rounding.
+    cfg = ModelConfig(ortho=ortho)
+    want = forecast(fit(x, cfg), 5).forecasts
+    spans = bht_arima.model._hankel_spans
+    rng = np.random.default_rng(8)
+
+    def rotated(dx, start):
+        return [None if q is None else q @ random_orthonormal(rng, q.shape[1], q.shape[1])
+                for q in spans(dx, start)]
+
+    monkeypatch.setattr(bht_arima.model, "_hankel_spans", rotated)
+    m = fit(x, cfg)
+    assert _held_modes(m)
+    assert _relative(forecast(m, 5).forecasts, want) <= 1e-12
 
 
 @pytest.mark.parametrize("panel, ortho, d", META_CASES)
