@@ -101,9 +101,10 @@ def _fmt_ranks(ranks: tuple[int, ...] | None) -> str:
 
 
 def nrmse(forecast: np.ndarray, actual: np.ndarray) -> float:
-    """Frobenius-relative forecast error; undefined for a zero-norm actual."""
-    forecast = np.asarray(forecast, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
+    """Frobenius-relative forecast error; undefined for a zero-norm actual.
+    Complex input raises :class:`DataFormatError`."""
+    forecast = _real_array(forecast, "forecast")
+    actual = _real_array(actual, "actual")
     if forecast.shape != actual.shape:
         raise ValueError(f"shape mismatch: {forecast.shape} vs {actual.shape}")
     norm_actual = frobenius_norm(actual)
@@ -113,8 +114,9 @@ def nrmse(forecast: np.ndarray, actual: np.ndarray) -> float:
 
 
 def naive_last_value(x: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the final observed slice for every horizon step."""
-    x = np.asarray(x, dtype=np.float64)
+    """Repeat the final observed slice for every horizon step. Complex input
+    raises :class:`DataFormatError`."""
+    x = _real_array(x, "panel")
     if x.shape[-1] < 1:
         raise ValueError("need at least one observed slice")
     if not _is_integer(horizon) or horizon < 1:

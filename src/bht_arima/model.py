@@ -1,15 +1,17 @@
 """Block-Hankel-tensor ARIMA: joint Tucker + tensor ARIMA estimation.
 
-``fit`` runs the full pipeline on an ``(I_1, ..., I_N, T)`` array: temporal
-delay embedding, order-d differencing, then alternating closed-form updates
-of compressed core tensors, orthonormal per-mode factor bases, AR/MA
-coefficients, and shared error tensors, until the relative factor change
-drops below tolerance. Relaxed mode then frees the last factor in one
-unconstrained least-squares solve.
-A series mode compressed to its block-Hankel span is held at the span's
-basis ``Q`` when its rank reaches the span's dimension, and below that is
-swept like any other; every swept factor column keeps its sign from one
-sweep to the next.
+``fit`` runs the full pipeline on an ``(I_1, ..., I_N, T)`` array: order-d
+differencing, temporal delay embedding of the differences (the two
+commute, so this is the embedding's differencing), then alternating
+closed-form updates of compressed core tensors, orthonormal per-mode
+factor bases, AR/MA coefficients, and shared error tensors, until the
+relative factor change drops below tolerance. Relaxed mode then frees the
+last factor in one unconstrained least-squares solve.
+A series mode compressed to its block-Hankel span is factored once by a
+QR of the distinct differenced columns, whose ``R`` holds the data's
+coordinates in the span; it is held at the span's basis ``Q`` when its
+rank reaches the span's dimension, and below that is swept like any other;
+every swept factor column keeps its sign from one sweep to the next.
 ``forecast`` propagates the core-space recursion and maps predictions back
 through Tucker composition and inverse differencing; the newest
 original-space value is the last window entry of the newest embedded slice.
@@ -38,7 +40,7 @@ from .coeffs import ArimaCoefficients, estimate_coefficients
 from .diff import DifferencedSeries, _difference_step, _integrate, difference
 from .errors import ConfigError, DataFormatError
 from .mdt import mdt_temporal
-from .tensor import mode_product, multi_mode_product, unfold
+from .tensor import fold, mode_product, multi_mode_product, unfold
 
 __all__ = [
     "ModelConfig",
@@ -221,42 +223,55 @@ def update_core(
     return 0.5 * acc
 
 
-def _hankel_spans(dx: np.ndarray, start: int) -> list[np.ndarray | None]:
+def _hankel_spans(
+    cols: np.ndarray, start: int
+) -> tuple[list[np.ndarray | None], np.ndarray]:
     """Per embedded mode, the span basis of :func:`_factor_basis`'s
-    compressed path, or ``None`` where the dense SVD runs.
+    compressed path, or ``None`` where the dense SVD runs; and the data's
+    coordinates in that basis.
 
-    The differenced slices ``dx`` (shape ``(*series, tau, n_diff)``) are
-    Hankel in (window, time): ``dx[..., k, t] == dx[..., k + 1, t - 1]``
-    bit for bit. Over the objective's range ``start:`` they hold only
-    ``n_t + tau - 1`` distinct columns per series index, with
-    ``n_t = n_diff - start``: ``dx[..., 0, start:]`` followed by
-    ``dx[..., 1:, -1]``. So the mode-``m`` unfolding of the data, and with
-    it every alignment matrix ``W`` of that mode, has rank at most
-    ``K_m = (product of the other series extents) * (n_t + tau - 1)``.
+    ``cols`` (shape ``(*series, n_cols)``) is the differenced panel.
+    Differencing commutes with the delay embedding, so the differenced
+    slices are ``dx = mdt_temporal(cols, tau)``, Hankel in (window, time):
+    ``dx[..., k, t] == cols[..., k + t]`` bit for bit. Over the objective's
+    range ``start:`` they hold only the ``n_cols - start`` distinct columns
+    ``cols[..., start:]`` per series index. So the mode-``m`` unfolding of
+    the data, and with it every alignment matrix ``W`` of that mode, has
+    rank at most ``K_m = (product of the other series extents) *
+    (n_cols - start)``.
 
-    For a series mode with ``J_m > K_m`` the reduced Householder QR of the
-    distinct columns' mode-``m`` unfolding gives the ``J_m x K_m`` basis
-    ``Q``, whose range holds every mode-``m`` fibre of ``dx[..., start:]``
-    and so range(W). :func:`fit` caps that mode's rank at ``K_m``. Which
-    modes qualify follows from the shapes alone; the window mode never
-    does, and at most one series mode can: ``J_0 > K_0`` and ``J_1 > K_1``
-    would need both ``J_0 > J_1`` and ``J_1 > J_0``. :func:`fit` runs its
-    sweep on ``Q.T dx``. At the cap the factor is ``Q`` itself, held and
+    For a series mode with ``J_m > K_m`` the reduced Householder QR
+    ``Q R`` of ``unfold(cols[..., start:], m)`` gives the ``J_m x K_m``
+    basis ``Q``, whose range holds every mode-``m`` fibre of
+    ``dx[..., start:]`` and so range(W). :func:`fit` caps that mode's rank
+    at ``K_m``. Which modes qualify follows from the shapes alone; the
+    window mode never does, and at most one series mode can: ``J_0 > K_0``
+    and ``J_1 > K_1`` would need both ``J_0 > J_1`` and ``J_1 > J_0``.
+    ``Q.T`` times the factored columns is ``R`` (Golub & Van Loan,
+    *Matrix Computations*, 5.2), so the coordinates ``Q.T cols`` are R's
+    columns folded back, after one small product for the ``start`` head
+    columns; :func:`fit` sweeps on their embedding, ``Q.T dx`` to rounding,
+    and never forms ``dx``. Without a compressed mode the coordinates are
+    ``cols`` itself. At the cap the factor is ``Q`` itself, held and
     never swept: any ``Q u`` with ``u`` square orthogonal spans the same
     space, and the objective cannot see the rotation. Below the cap the mode
     is swept like any other, its factor ``U = Q u`` held as the rotation
     ``u``; on the ``start`` head slices ``u.T Q.T h = U.T h``.
     """
-    n_series = dx.ndim - 2
-    n_distinct = dx.shape[-1] - start + dx.shape[-2] - 1
-    n_columns = math.prod(dx.shape[:n_series]) * n_distinct
-    spans: list[np.ndarray | None] = [None] * (dx.ndim - 1)
+    n_series = cols.ndim - 1
+    n_columns = math.prod(cols.shape[:n_series]) * (cols.shape[-1] - start)
+    spans: list[np.ndarray | None] = [None] * cols.ndim
+    coords = cols
     for mode in range(n_series):
-        if dx.shape[mode] <= n_columns // dx.shape[mode]:
+        if cols.shape[mode] <= n_columns // cols.shape[mode]:
             continue
-        hankel = np.concatenate([dx[..., 0, start:], dx[..., 1:, -1]], axis=-1)
-        spans[mode] = np.linalg.qr(unfold(hankel, mode))[0]
-    return spans
+        spans[mode], r = np.linalg.qr(unfold(cols[..., start:], mode))
+        # Time is the slowest unfolding index, so the head's columns come
+        # first.
+        head = spans[mode].T @ unfold(cols[..., :start], mode)
+        shape = (*cols.shape[:mode], r.shape[0], *cols.shape[mode + 1 :])
+        coords = fold(np.concatenate([head, r], axis=1), mode, shape)
+    return spans, coords
 
 
 def _factor_basis(
@@ -424,34 +439,38 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     """Fit the model to an ``(I_1, ..., I_N, T)`` array (time last).
 
-    Runs delay embedding with window ``cfg.tau``, order-``cfg.d``
-    differencing, then up to ``cfg.max_iter`` alternating update sweeps with
-    a relative-factor-change stopping rule. The sweeps start from the data
-    alone: each factor from the leading left singular vectors of the data's
-    unfolding over the objective's range (the truncated HOSVD), and the
-    error tensors from zero, so ``cfg.seed`` does not enter the fit. The
-    returned model stores the final projections of every differenced slice
-    together with coefficients re-estimated from them, so its state is
-    self-consistent under the converged factors.
+    Runs order-``cfg.d`` differencing, delay embedding with window
+    ``cfg.tau`` of the differences, which equals the embedding's
+    differencing byte for byte, then up to ``cfg.max_iter`` alternating
+    update sweeps with a relative-factor-change stopping rule. The
+    differencing state is built from the last ``tau + d`` steps alone. The
+    sweeps start from the data alone: each factor from the leading left
+    singular vectors of the data's unfolding over the objective's range (the
+    truncated HOSVD), and the error tensors from zero, so ``cfg.seed`` does
+    not enter the fit. The returned model stores the final projections of
+    every differenced slice together with coefficients re-estimated from
+    them, so its state is self-consistent under the converged factors.
 
     A series mode with more series ``J_m`` than distinct block-Hankel
     columns ``K_m`` (see :func:`_hankel_spans`; at most one mode, decided by
     the shapes alone) has its rank capped at ``K_m``, the most directions
     its data hold, whether the rank is automatic or given; the returned
     model's ``ranks`` show the capped value. The sweep runs on ``Q.T dx``,
-    the data projected once on that mode's span ``Q``. At the cap, as every
-    automatic rank on a tall panel is, the mode is held at ``Q``: its factor
-    on ``Q.T dx`` is the identity, so it takes no start, no SVD and no
-    product, its step in each sweep updates only the cores, its factor
-    change is zero, and the returned factor is ``Q`` itself. Below the cap
-    the mode is swept like any other, as the rotation ``u`` of its factor
-    ``Q u``: each sweep takes an SVD of at most ``K_m x K_m`` (see
-    :func:`_factor_basis`), and the factor has no null-space columns to
-    drift, so such fits converge. Without a compressed mode the sweep runs
-    on ``dx`` itself. Every swept factor column keeps its sign from the
-    previous sweep (see :func:`_factor_basis`), so mixing the series by an
-    orthogonal matrix mixes the forecasts, and a sign flip is never counted
-    as factor change.
+    the embedding of the data's coordinates in that mode's span ``Q``,
+    which the span's QR returns in its ``R``; the full-size differenced
+    embedding ``dx`` is never formed. At the cap, as every automatic rank
+    on a tall panel is, the mode is held at ``Q``: its factor on ``Q.T dx``
+    is the identity, so it takes no start, no SVD and no product, its step
+    in each sweep updates only the cores, and the next mode reuses that
+    step's projection; its factor change is zero, and the returned factor
+    is ``Q`` itself. Below the cap the mode is swept like any other, as the
+    rotation ``u`` of its factor ``Q u``: each sweep takes an SVD of at most
+    ``K_m x K_m`` (see :func:`_factor_basis`), and the factor has no
+    null-space columns to drift, so such fits converge. Without a
+    compressed mode the sweep runs on ``dx`` itself. Every swept factor
+    column keeps its sign from the previous sweep (see
+    :func:`_factor_basis`), so mixing the series by an orthogonal matrix
+    mixes the forecasts, and a sign flip is never counted as factor change.
 
     In relaxed mode the sweeps are the full fit's. Once they stop, one
     :func:`update_factor_relaxed` solve against the last sweep's cores
@@ -464,27 +483,27 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     cfg.validate_for(x.shape)
     p, q = cfg.p, cfg.q
 
-    embedded = mdt_temporal(x, cfg.tau)
-    emb_shape = embedded.shape[:-1]
-    t_hat = embedded.shape[-1]
+    emb_shape = (*x.shape[:-1], cfg.tau)
+    t_hat = x.shape[-1] - cfg.tau + 1
     n_modes = len(emb_shape)
     ranks = cfg.resolved_ranks(emb_shape)
-
-    ds = difference(embedded, cfg.d)
-    dx = ds.slices
-    n_diff = dx.shape[-1]
+    n_diff = t_hat - cfg.d
     start = p + q
 
-    spans = _hankel_spans(dx, start)
+    # Differencing commutes with the delay embedding: the differenced slices
+    # ``dx`` are ``mdt_temporal(cols, tau)``, and ``cols`` holds their
+    # distinct Hankel columns.
+    cols = difference(x, cfg.d).slices
+    spans, coords = _hankel_spans(cols, start)
     ranks = tuple(r if sp is None else min(r, sp.shape[1]) for r, sp in zip(ranks, spans))
     span_mode = next((m for m, sp in enumerate(spans) if sp is not None), None)
-    # ``y`` is ``Q.T dx`` on the compressed mode, if any, else ``dx``. A
-    # compressed mode at its cap ``K`` is held at ``Q``: on ``y`` its factor is
-    # the identity, kept as ``None``, so it takes no start, no basis and no
-    # product. The other factors start from the truncated HOSVD of ``y``'s
-    # objective range ``data``, the sweep's basis rule with the data standing
-    # in for the cores.
-    y = dx if span_mode is None else mode_product(dx, spans[span_mode].T, span_mode)
+    # ``y`` is ``Q.T dx`` on the compressed mode, if any, else ``dx``; either
+    # way the embedding of ``coords``. A compressed mode at its cap ``K`` is
+    # held at ``Q``: on ``y`` its factor is the identity, kept as ``None``, so
+    # it takes no start, no basis and no product. The other factors start
+    # from the truncated HOSVD of ``y``'s objective range ``data``, the
+    # sweep's basis rule with the data standing in for the cores.
+    y = mdt_temporal(coords, cfg.tau)
     data = y[..., start:]
     held = next(
         (m for m, sp in enumerate(spans) if sp is not None and ranks[m] == sp.shape[1]), None
@@ -509,17 +528,24 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         est = estimate_coefficients(cores, p, q)
         previous = list(factors)
         prefix = y
+        projection = cores
         for mode in range(n_modes):
-            # In place; at mode 0 this is ``cores``, whose lags are read first.
-            projection = _project(prefix, factors, range(mode)) if mode else cores
-            projection[..., start:] = update_core(
+            # At mode 0 the projection is ``cores``. The held mode leaves
+            # ``prefix`` as it is, so the mode after it reuses the held mode's
+            # projection, and the held mode updates a copy in the same memory
+            # layout, which later sums and products round alike. Elsewhere
+            # the update is in place; the lags are read first.
+            if mode and mode - 1 != held:
+                projection = _project(prefix, factors, range(mode))
+            updated = projection.copy(order="K") if mode == held else projection
+            updated[..., start:] = update_core(
                 projection[..., start:],
                 [cores[..., start - i : n_diff - i] for i in range(1, p + 1)],
                 [e[..., None] for e in errors],
                 est.alpha,
                 est.beta,
             )
-            cores = projection
+            cores = updated
             # The held mode's step updates the cores only.
             if mode == held:
                 continue
@@ -553,8 +579,10 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         factors[span_mode] = spans[span_mode] @ factors[span_mode]
 
     # Store that state with coefficients estimated from it, so the model is
-    # self-consistent under the final factors.
+    # self-consistent under the final factors. The differencing state needs
+    # only the last ``tau + d`` steps: ``d + 1`` embedded slices.
     est = estimate_coefficients(cores, p, q)
+    ds = difference(mdt_temporal(x[..., -(cfg.tau + cfg.d) :], cfg.tau), cfg.d)
 
     return FittedModel(
         config=cfg,
@@ -562,7 +590,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         cores=cores,
         errors=tuple(e.copy() for e in errors),
         coeffs=est,
-        diff_state=replace(ds, slices=dx[..., -1:].copy()),
+        diff_state=ds,
         tau=cfg.tau,
         original_shape=x.shape,
         embedded_shape=emb_shape,

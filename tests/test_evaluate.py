@@ -188,14 +188,14 @@ def _with_a_word(z):
     return z
 
 
-@pytest.mark.parametrize(
-    "convert, dtype",
-    [
-        pytest.param(lambda z: z + 5j, "complex128", id="complex"),
-        pytest.param(lambda z: _with_a_word(z.astype(str)), "<U", id="strings"),
-        pytest.param(lambda z: _with_a_word(z.astype(object)), "object", id="object"),
-    ],
-)
+NON_REAL = [
+    pytest.param(lambda z: z + 5j, "complex128", id="complex"),
+    pytest.param(lambda z: _with_a_word(z.astype(str)), "<U", id="strings"),
+    pytest.param(lambda z: _with_a_word(z.astype(object)), "object", id="object"),
+]
+
+
+@pytest.mark.parametrize("convert, dtype", NON_REAL)
 @pytest.mark.parametrize("refit", [True, False])
 def test_rolling_backtest_refuses_a_non_real_panel_before_fitting(
     monkeypatch, convert, dtype, refit
@@ -210,6 +210,24 @@ def test_rolling_backtest_refuses_a_non_real_panel_before_fitting(
     monkeypatch.setattr(evaluate, "fit", forbidden)
     with pytest.raises(DataFormatError, match=rf"panel: .*dtype {dtype}"):
         rolling_backtest(convert(x), ModelConfig(), 0.8, refit=refit)
+
+
+@pytest.mark.parametrize("convert, dtype", NON_REAL)
+def test_scoring_helpers_refuse_non_real_input(convert, dtype):
+    # A float64 cast would drop the imaginary part: nrmse(x + 5j, x) read 0.
+    x = synth_dataset("sinusoid-mixture", 5, 12, 0.05, seed=1)
+    with pytest.raises(DataFormatError, match=rf"forecast: .*dtype {dtype}"):
+        nrmse(convert(x), x)
+    with pytest.raises(DataFormatError, match=rf"actual: .*dtype {dtype}"):
+        nrmse(x, convert(x))
+    with pytest.raises(DataFormatError, match=rf"panel: .*dtype {dtype}"):
+        naive_last_value(convert(x), 2)
+
+
+def test_scoring_helpers_still_cast_numeric_text():
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert nrmse(x.astype(str), x) == 0.0
+    assert np.array_equal(naive_last_value(x.astype(object), 2), naive_last_value(x, 2))
 
 
 def test_rolling_backtest_scores_only_the_first_horizon_slices():

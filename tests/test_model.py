@@ -27,7 +27,7 @@ from bht_arima.model import (
     update_error,
     update_factor_relaxed,
 )
-from bht_arima.tensor import mode_product, multi_mode_product, unfold
+from bht_arima.tensor import fold, mode_product, multi_mode_product, unfold
 
 
 def random_orthonormal(rng, rows, cols):
@@ -772,13 +772,20 @@ def _oracle_distinct_columns(dx, start):
 
 
 def _oracle_span(dx, start, mode):
-    """The span basis of the compressed factor for a series mode with more
-    rows than distinct Hankel columns, else ``None``."""
+    """For a series mode with more rows than distinct Hankel columns, the
+    span basis ``Q`` of the compressed factor and the coordinates ``Q.T``
+    of every distinct column: the QR's triangle ``R`` for the columns it
+    factors, a product with ``Q.T`` for the ``start`` head columns. Else
+    ``None``."""
     h = unfold(_oracle_distinct_columns(dx, start), mode)
     n_rows, n_cols = h.shape
     if n_rows <= n_cols:
         return None
-    return np.linalg.qr(h)[0]
+    basis, r = np.linalg.qr(h)
+    head = basis.T @ unfold(_oracle_distinct_columns(dx, 0)[..., :start], mode)
+    shape = list(dx.shape[:-2]) + [dx.shape[-1] + dx.shape[-2] - 1]
+    shape[mode] = n_cols
+    return basis, fold(np.concatenate([head, r], axis=1), mode, shape)
 
 
 def _oracle_align(u, previous):
@@ -814,7 +821,8 @@ def oracle_fit(x, cfg):
     emb_shape = embedded.shape[:-1]
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
-    spans = [_oracle_span(dx, start, m) for m in range(n_modes - 1)] + [None]
+    found = [_oracle_span(dx, start, m) for m in range(n_modes - 1)] + [None]
+    spans = [None if span is None else span[0] for span in found]
     ranks = _oracle_ranks(cfg, emb_shape, spans)
     # The truncated HOSVD of the objective's range, inside the span on a
     # compressed mode, and zero error tensors.
@@ -891,7 +899,8 @@ def oracle_fit(x, cfg):
 
 def span_oracle_fit(x, cfg):
     """``oracle_fit`` for a fit with a compressed mode ``c``, in span
-    coordinates as ``fit`` runs it: the data enter as ``Q.T dx``. Below its
+    coordinates as ``fit`` runs it: the data enter as ``Q.T dx``, read off
+    the QR's ``R`` for the factored columns and embedded. Below its
     cap K the mode is swept as the rotation ``u`` of its factor ``Q u``,
     aligned like any other factor. At the cap it is held at ``Q``, whose
     rotation is the identity: no start, no SVD and no product, zero change,
@@ -903,12 +912,13 @@ def span_oracle_fit(x, cfg):
     emb_shape = embedded.shape[:-1]
     dx = difference(embedded, cfg.d).slices
     n_modes, n_diff, start = len(emb_shape), dx.shape[-1], p + q
-    spans = [_oracle_span(dx, start, m) for m in range(n_modes - 1)] + [None]
+    found = [_oracle_span(dx, start, m) for m in range(n_modes - 1)]
+    (c,) = [m for m, span in enumerate(found) if span is not None]
+    basis, coordinates = found[c]
+    spans = [basis if m == c else None for m in range(n_modes)]
     ranks = _oracle_ranks(cfg, emb_shape, spans)
-    (c,) = [m for m, span in enumerate(spans) if span is not None]
-    basis = spans[c]
     held = ranks[c] == basis.shape[1]
-    data = mode_product(dx, basis.T, c)
+    data = mdt_temporal(coordinates, cfg.tau)
     # The truncated HOSVD of the objective's range in span coordinates, and
     # zero error tensors.
     factors = []
@@ -1051,7 +1061,7 @@ WORK_PANELS = {**FIT_PANELS, "2x60x12": _MODE1_PANEL}
 
 @pytest.mark.parametrize(
     "panel, full, relaxed",
-    [("20x40", 17, 20), ("200x120", 8, 9), ("12x8x48", 39, 44), ("2x60x12", 21, 24)],
+    [("20x40", 17, 20), ("200x120", 4, 5), ("12x8x48", 39, 44), ("2x60x12", 17, 20)],
 )
 def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     """Mode products one three-sweep fit makes, as a guard on projection
@@ -1059,9 +1069,10 @@ def test_fit_projection_work(monkeypatch, panel, full, relaxed):
     projection is taken afresh from the data, and relaxed mode closes with
     the last-factor solve's projection on the leading modes and one
     projection through the last factor's pseudo-inverse. The compressed
-    mode of 200x120 and 2x60x12 runs at its cap: after one projection of
-    the data on its span it is held, so no product, start or basis is
-    taken on it."""
+    mode of 200x120 and 2x60x12 runs at its cap, held at its span. The
+    data's coordinates in the span come from the QR, not from a product;
+    no product, start or basis is taken on the mode, and the mode after it
+    reuses its projection."""
     calls = []
 
     def counted(*args):
@@ -1078,13 +1089,55 @@ def test_fit_projection_work(monkeypatch, panel, full, relaxed):
 # --- factor bases inside the block-Hankel span ---------------------------------
 
 
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 @pytest.mark.parametrize("tau", [1, 3, 4])
 def test_differenced_embedding_is_hankel(d, tau):
-    # The compressed factor basis relies on dx[..., k, t] == dx[..., k+1, t-1].
+    # The compressed factor basis relies on dx[..., k, t] == dx[..., k+1, t-1],
+    # and fit on differencing commuting with the embedding: it differences
+    # the panel, embeds the differences, and builds the differencing state
+    # from the last tau + d steps alone.
     for x in (BENCH, _order3_panel()):
-        dx = difference(mdt_temporal(x, tau), d).slices
+        ds = difference(mdt_temporal(x, tau), d)
+        dx = ds.slices
         assert np.array_equal(dx[..., 1:, :-1], dx[..., :-1, 1:])
+        assert _same_bytes(mdt_temporal(difference(x, d).slices, tau), dx)
+        recent = difference(mdt_temporal(x[..., -(tau + d) :], tau), d)
+        assert len(recent.tails) == len(ds.tails) == d
+        assert all(_same_bytes(a, b) for a, b in zip(recent.tails, ds.tails))
+        assert _same_bytes(recent.slices, dx[..., -1:])
+
+
+SPAN_PANELS = [
+    pytest.param(FIT_PANELS["200x120"], ModelConfig(), 0, id="200x120"),
+    pytest.param(_MODE1_PANEL, ModelConfig(), 1, id="2x60x12"),
+    *[
+        pytest.param(np.full(shape, 2.5), ModelConfig(d=0), 0, id=f"constant-d0-{shape[0]}")
+        for shape in ((50, 12), (300, 40))
+    ],
+    *[
+        pytest.param(
+            3.0 + np.linspace(0.5, 1.5, shape[0])[:, None] * np.arange(shape[1] + 0.0),
+            ModelConfig(), 0, id=f"trend-{shape[0]}",
+        )
+        for shape in ((50, 12), (300, 40))
+    ],
+]
+
+
+@pytest.mark.parametrize("x, cfg, mode", SPAN_PANELS)
+def test_span_coordinates_are_read_off_r(x, cfg, mode):
+    # Q.T times the columns a Householder QR factors is its R, so the
+    # coordinates need no projection of the embedded differences.
+    cols = difference(x, cfg.d).slices
+    spans, coords = bht_arima.model._hankel_spans(cols, cfg.p + cfg.q)
+    assert [m for m, span in enumerate(spans) if span is not None] == [mode]
+    dx = difference(mdt_temporal(x, cfg.tau), cfg.d).slices
+    want = mode_product(dx, spans[mode].T, mode)
+    assert _relative(mdt_temporal(coords, cfg.tau), want) <= 1e-13
 
 
 def _basis_problem(rank, seed=4):
@@ -1096,7 +1149,7 @@ def _basis_problem(rank, seed=4):
     dx = difference(mdt_temporal(x, 3), 1).slices
     partial = mode_product(dx[..., start:], random_orthonormal(rng, 3, 3).T, 1)
     cores = rng.standard_normal((rank, 3, dx.shape[-1] - start))
-    spans = bht_arima.model._hankel_spans(dx, start)
+    spans, _ = bht_arima.model._hankel_spans(difference(x, 1).slices, start)
     return partial, cores, spans
 
 
@@ -1148,7 +1201,10 @@ def test_factor_basis_is_the_dense_svd_when_modes_fit(x):
     dx = difference(mdt_temporal(x, 3), 1).slices
     start = 3
     ranks = ModelConfig().resolved_ranks(dx.shape[:-1])
-    assert bht_arima.model._hankel_spans(dx, start) == [None] * len(ranks)
+    cols = difference(x, 1).slices
+    spans, coords = bht_arima.model._hankel_spans(cols, start)
+    assert spans == [None] * len(ranks)
+    assert coords is cols
     rng = np.random.default_rng(2)
     cores = rng.standard_normal((*ranks, dx.shape[-1] - start))
     for mode in range(len(ranks)):
@@ -1481,8 +1537,7 @@ def test_fit_large_is_not_held_back_by_sign_flips():
 
 
 def _spans_of(x, cfg):
-    dx = difference(mdt_temporal(x, cfg.tau), cfg.d).slices
-    return bht_arima.model._hankel_spans(dx, cfg.p + cfg.q)
+    return bht_arima.model._hankel_spans(difference(x, cfg.d).slices, cfg.p + cfg.q)[0]
 
 
 @pytest.mark.parametrize(
@@ -1525,15 +1580,21 @@ def test_capped_compressed_mode_takes_no_svd(monkeypatch, x, cfg, held):
 )
 def test_any_basis_of_the_span_gives_the_same_forecasts(monkeypatch, x, ortho):
     # Holding the capped mode at Q loses nothing: Q V, for any orthogonal V,
-    # spans the same space and gives the same forecasts to rounding.
+    # spans the same space and gives the same forecasts to rounding. The
+    # coordinates in Q V are V.T times those in Q.
     cfg = ModelConfig(ortho=ortho)
     want = forecast(fit(x, cfg), 5).forecasts
-    spans = bht_arima.model._hankel_spans
+    hankel_spans = bht_arima.model._hankel_spans
     rng = np.random.default_rng(8)
 
-    def rotated(dx, start):
-        return [None if q is None else q @ random_orthonormal(rng, q.shape[1], q.shape[1])
-                for q in spans(dx, start)]
+    def rotated(cols, start):
+        spans, coords = hankel_spans(cols, start)
+        for mode, q in enumerate(spans):
+            if q is not None:
+                v = random_orthonormal(rng, q.shape[1], q.shape[1])
+                spans[mode] = q @ v
+                coords = mode_product(coords, v.T, mode)
+        return spans, coords
 
     monkeypatch.setattr(bht_arima.model, "_hankel_spans", rotated)
     m = fit(x, cfg)
