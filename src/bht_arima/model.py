@@ -8,13 +8,15 @@ factor bases, AR/MA coefficients, and shared error tensors, until the
 relative factor change drops below tolerance. Relaxed mode then frees the
 last factor in one unconstrained least-squares solve.
 A series mode compressed to its block-Hankel span is factored once by a
-QR of the distinct differenced columns, whose ``R`` holds the data's
-coordinates in the span; it is held at the span's basis ``Q`` when its
-rank reaches the span's dimension, and below that is swept like any other;
-every swept factor column keeps its sign from one sweep to the next.
-``forecast`` propagates the core-space recursion and maps predictions back
-through Tucker composition and inverse differencing; the newest
-original-space value is the last window entry of the newest embedded slice.
+raw Householder QR of the distinct differenced columns: two matrix
+products turn its reflectors into the span's basis ``Q``, and its ``R``
+holds the data's coordinates in the span. The mode is held at ``Q`` when
+its rank reaches the span's dimension, and below that is swept like any
+other; every swept factor column keeps its sign from one sweep to the next.
+``forecast`` propagates the core-space recursion, each predicted core the
+next step's lag as it is, and maps predictions back through Tucker
+composition and inverse differencing; the newest original-space value is
+the last window entry of the newest embedded slice.
 ``forecast`` and ``append_observation`` read only the last ``p`` cores, the
 ``q`` error tensors, the ``d`` differencing tails and the last embedded
 window, so a streaming step costs the same whatever the history length.
@@ -240,37 +242,43 @@ def _hankel_spans(
     rank at most ``K_m = (product of the other series extents) *
     (n_cols - start)``.
 
-    For a series mode with ``J_m > K_m`` the reduced Householder QR
-    ``Q R`` of ``unfold(cols[..., start:], m)`` gives the ``J_m x K_m``
-    basis ``Q``, whose range holds every mode-``m`` fibre of
-    ``dx[..., start:]`` and so range(W). :func:`fit` caps that mode's rank
-    at ``K_m``. Which modes qualify follows from the shapes alone; the
-    window mode never does, and at most one series mode can: ``J_0 > K_0``
-    and ``J_1 > K_1`` would need both ``J_0 > J_1`` and ``J_1 > J_0``.
-    ``Q.T`` times the factored columns is ``R`` (Golub & Van Loan,
-    *Matrix Computations*, 5.2), so the coordinates ``Q.T cols`` are R's
-    columns folded back, after one small product for the ``start`` head
-    columns; :func:`fit` sweeps on their embedding, ``Q.T dx`` to rounding,
-    and never forms ``dx``. Without a compressed mode the coordinates are
-    ``cols`` itself. At the cap the factor is ``Q`` itself, held and
-    never swept: any ``Q u`` with ``u`` square orthogonal spans the same
-    space, and the objective cannot see the rotation. Below the cap the mode
-    is swept like any other, its factor ``U = Q u`` held as the rotation
-    ``u``; on the ``start`` head slices ``u.T Q.T h = U.T h``.
+    For a series mode with ``J_m > K_m`` the Householder QR of
+    ``unfold(cols[..., start:], m)`` gives the ``J_m x K_m`` basis ``Q``,
+    whose range holds every mode-``m`` fibre of ``dx[..., start:]`` and so
+    range(W). :func:`fit` caps that mode's rank at ``K_m``. Which modes
+    qualify follows from the shapes alone; the window mode never does, and
+    at most one series mode can: ``J_0 > K_0`` and ``J_1 > K_1`` would need
+    both ``J_0 > J_1`` and ``J_1 > J_0``. One raw QR runs on the unfolding
+    of ``cols`` with its time axis rolled so that the ``start`` head columns
+    come last. Householder QR factors the columns left to right, so its
+    first ``K_m`` reflectors are those of the factored columns alone, and
+    :func:`linalg.householder_basis` builds ``Q`` from them by two matrix
+    products. ``Q.T`` times the QR's input is its ``R`` (Golub & Van Loan,
+    *Matrix Computations*, 5.2): the first ``K_m`` rows of ``R`` hold the
+    coordinates ``Q.T cols`` of every column, the head's included, and
+    folded back with the roll undone they are the coordinates. :func:`fit`
+    sweeps on their embedding, ``Q.T dx`` to rounding, and never forms
+    ``dx``. Without a compressed mode the coordinates are ``cols`` itself.
+    At the cap the factor is ``Q`` itself, held and never swept: any ``Q u``
+    with ``u`` square orthogonal spans the same space, and the objective
+    cannot see the rotation. Below the cap the mode is swept like any other,
+    its factor ``U = Q u`` held as the rotation ``u``; on the ``start`` head
+    slices ``u.T Q.T h = U.T h``.
     """
     n_series = cols.ndim - 1
     n_columns = math.prod(cols.shape[:n_series]) * (cols.shape[-1] - start)
     spans: list[np.ndarray | None] = [None] * cols.ndim
     coords = cols
     for mode in range(n_series):
-        if cols.shape[mode] <= n_columns // cols.shape[mode]:
+        k = n_columns // cols.shape[mode]
+        if cols.shape[mode] <= k:
             continue
-        spans[mode], r = np.linalg.qr(unfold(cols[..., start:], mode))
-        # Time is the slowest unfolding index, so the head's columns come
-        # first.
-        head = spans[mode].T @ unfold(cols[..., :start], mode)
-        shape = (*cols.shape[:mode], r.shape[0], *cols.shape[mode + 1 :])
-        coords = fold(np.concatenate([head, r], axis=1), mode, shape)
+        # Time is the slowest unfolding index, so after the roll the factored
+        # columns come first and the head's last.
+        h, tau = np.linalg.qr(unfold(np.roll(cols, -start, axis=-1), mode), mode="raw")
+        spans[mode] = linalg.householder_basis(h, tau, k)
+        shape = (*cols.shape[:mode], k, *cols.shape[mode + 1 :])
+        coords = np.roll(fold(np.triu(h.T[:k]), mode, shape), start, axis=-1)
     return spans, coords
 
 
@@ -457,13 +465,14 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     its data hold, whether the rank is automatic or given; the returned
     model's ``ranks`` show the capped value. The sweep runs on ``Q.T dx``,
     the embedding of the data's coordinates in that mode's span ``Q``,
-    which the span's QR returns in its ``R``; the full-size differenced
-    embedding ``dx`` is never formed. At the cap, as every automatic rank
-    on a tall panel is, the mode is held at ``Q``: its factor on ``Q.T dx``
-    is the identity, so it takes no start, no SVD and no product, its step
-    in each sweep updates only the cores, and the next mode reuses that
-    step's projection; its factor change is zero, and the returned factor
-    is ``Q`` itself. Below the cap the mode is swept like any other, as the
+    which the span's one raw QR returns in its ``R``; ``Q`` itself comes
+    from that QR's reflectors (:func:`linalg.householder_basis`), and the
+    full-size differenced embedding ``dx`` is never formed. At the cap, as
+    every automatic rank on a tall panel is, the mode is held at ``Q``: its
+    factor on ``Q.T dx`` is the identity, so it takes no start, no SVD and
+    no product, its step in each sweep updates only the cores, and the next
+    mode reuses that step's projection; its factor change is zero, and the
+    returned factor is ``Q`` itself. Below the cap the mode is swept like any other, as the
     rotation ``u`` of its factor ``Q u``: each sweep takes an SVD of at most
     ``K_m x K_m`` (see :func:`_factor_basis`), and the factor has no
     null-space columns to drift, so such fits converge. Without a
@@ -629,16 +638,18 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
     embedded slice and integrates the differencing through the stored tails.
     The newest original-space position is covered only by the last window
     entry of the newest slice, so anti-diagonal averaging would return that
-    entry unchanged; it is read off directly. Later steps reuse predicted
-    slices (projected back to cores) with zero future innovations; the model
-    is never refitted. Only the last ``p`` cores, the ``q`` error tensors and
-    the ``d`` differencing tails are read, so a step costs the same whatever
-    the length of the history.
+    entry unchanged; it is read off directly. Later steps take the predicted
+    cores themselves as lags, with zero future innovations; the model is
+    never refitted. Projecting the composed slice back would change nothing
+    but rounding: with ``P = pinv(U) U`` on each mode, the stored cores
+    satisfy ``P G = G`` and the composition ``U P = U``, so by induction on
+    the linear recursion the composed slices are the same. Only the last
+    ``p`` cores, the ``q`` error tensors and the ``d`` differencing tails
+    are read, so a step costs the same whatever the length of the history.
     """
     if not _is_integer(horizon) or horizon < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     factors = list(model.factors)
-    projectors = _projectors(model)
     lags = _recent_cores(model.cores, len(model.coeffs.alpha))
     errors = list(model.errors)
     tails = model.diff_state.tails
@@ -646,7 +657,7 @@ def forecast(model: FittedModel, horizon: int) -> ForecastResult:
     out_emb = []
     for step in range(horizon):
         if step:
-            lags = [multi_mode_product(d_slice, projectors), *lags][: len(lags)]
+            lags = [d_core, *lags][: len(lags)]
             errors = [np.zeros(model.ranks), *errors][: len(errors)]
         d_core = _core_prediction(model, lags, errors)
         d_slice = multi_mode_product(d_core, factors)

@@ -9,7 +9,7 @@ import pytest
 
 import bht_arima
 from bht_arima.errors import SingularSystemError
-from bht_arima.linalg import lstsq, pinv, solve_toeplitz, svd
+from bht_arima.linalg import householder_basis, lstsq, pinv, solve_toeplitz, svd
 
 
 def test_svd_identity():
@@ -157,3 +157,56 @@ def test_lstsq_zero_matrix_minimum_norm():
 def test_lstsq_row_mismatch():
     with pytest.raises(ValueError):
         lstsq(np.zeros((3, 2)), np.zeros(4))
+
+
+def _householder_case(name):
+    """A matrix ``[tail | head]`` and the tail's column count ``k``."""
+    rng = np.random.default_rng(4)
+    if name == "gaussian":
+        return rng.standard_normal((1000, 189)), 186
+    if name == "constant":
+        return np.full((1000, 40), 2.5), 37
+    if name == "rank3":
+        return rng.standard_normal((1000, 3)) @ rng.standard_normal((3, 40)), 37
+    if name == "repeated-rows":
+        return np.tile(rng.standard_normal((10, 40)), (100, 1)), 37
+    if name == "zero-columns":
+        a = rng.standard_normal((1000, 60))
+        a[:, 25:40] = 0.0  # across a block boundary of the triangular inverse
+        return a, 57
+    if name == "graded":
+        return rng.standard_normal((1000, 40)) * np.logspace(0, -15, 40), 37
+    # wide: the head columns take the QR past the row count
+    return rng.standard_normal((30, 33)), 28
+
+
+HOUSEHOLDER_CASES = [
+    "gaussian", "constant", "rank3", "repeated-rows", "zero-columns", "graded", "wide"
+]
+
+
+@pytest.mark.parametrize("name", HOUSEHOLDER_CASES)
+def test_householder_basis_is_lapacks_q(name):
+    a, k = _householder_case(name)
+    h, tau = np.linalg.qr(a, mode="raw")
+    if name == "zero-columns":
+        # reflectors that are the identity, with nothing to divide by
+        assert np.any(tau[:k] == 0.0)
+    q = householder_basis(h, tau, k)
+    assert q.shape == (a.shape[0], k)
+    assert np.max(np.abs(q - np.linalg.qr(a)[0][:, :k])) <= 1e-13
+    assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
+    # Q times R's leading triangle gives back the factored columns, each to
+    # rounding of its own norm; R's rows above the head are Q.T head.
+    r = np.triu(h.T[:k])
+    tail, head = a[:, :k], a[:, k:]
+    col_err = np.linalg.norm(q @ r[:, :k] - tail, axis=0)
+    assert np.all(col_err <= 1e-13 * np.linalg.norm(tail, axis=0))
+    assert np.linalg.norm(r[:, k:] - q.T @ head) <= 1e-13 * np.linalg.norm(head)
+
+
+@pytest.mark.parametrize("k", [0, 41])
+def test_householder_basis_rejects_a_count_beyond_the_reflectors(k):
+    h, tau = np.linalg.qr(np.ones((50, 40)), mode="raw")
+    with pytest.raises(ValueError, match="reflectors"):
+        householder_basis(h, tau, k)

@@ -497,12 +497,13 @@ def _history(seen, m):
     return emb, np.diff(emb, n=m.config.d, axis=-1), tails
 
 
-def oracle_forecast(m, seen, horizon):
+def oracle_forecast(m, seen, horizon, reproject=False):
     """Reference forecast for a model of the panel ``seen`` that rebuilds
     the whole history from the panel, integrates each predicted difference
     through the last slice of every differencing level, and reads the value
-    off the inverse embedding of the whole extended history."""
-    proj = _oracle_projectors(m)
+    off the inverse embedding of the whole extended history. Each predicted
+    core joins the core history as it is, or with ``reproject`` as its
+    composed slice projected back to a core."""
     cores = m.cores
     errors = [np.array(e) for e in m.errors]
     emb_seq, _, tails = _history(seen, m)
@@ -517,8 +518,9 @@ def oracle_forecast(m, seen, horizon):
         emb_seq = np.concatenate([emb_seq, emb_slice[..., None]], axis=-1)
         out_orig.append(inverse_mdt_temporal(emb_seq, m.tau)[..., -1])
         out_emb.append(emb_slice)
-        g = multi_mode_product(d_slice, proj)
-        cores = np.concatenate([cores, g[..., None]], axis=-1)
+        if reproject:
+            pred = multi_mode_product(d_slice, _oracle_projectors(m))
+        cores = np.concatenate([cores, pred[..., None]], axis=-1)
         if errors:
             errors = [np.zeros(m.ranks)] + errors[:-1]
     return np.stack(out_orig, axis=-1), np.stack(out_emb, axis=-1)
@@ -570,6 +572,26 @@ def test_forecast_bit_identical_to_history_rebuild(x, cfg):
     expected, expected_emb = oracle_forecast(m, x, 8)
     assert np.array_equal(result.forecasts, expected)
     assert np.array_equal(result.embedded_forecasts, expected_emb)
+
+
+@pytest.mark.parametrize(
+    "x, cfg",
+    [
+        pytest.param(np.full((20, 40), 2.5), ModelConfig(d=0), id="constant"),
+        pytest.param(np.tile(np.sin(np.arange(40.0) / 3.0), (20, 1)),
+                     ModelConfig(d=0, ranks=(3, 3)), id="one-series"),
+    ],
+)
+def test_rank_deficient_relaxed_factor_needs_no_reprojection(x, cfg):
+    # On the ridge path the relaxed last factor U can lose column rank, so
+    # P = pinv(U) U is a true projection. The fit's cores satisfy P G = G
+    # and U P = U, so projecting each predicted slice back, as the forecast
+    # once did, moves the forecasts by rounding only.
+    m = fit(x, replace(cfg, ortho="relaxed"))
+    assert m.relaxed_ridge_used
+    assert np.linalg.matrix_rank(m.factors[-1]) < m.ranks[-1]
+    want = oracle_forecast(m, x, 8, reproject=True)[0]
+    assert _relative(forecast(m, 8).forecasts, want) <= 1e-12
 
 
 @pytest.mark.parametrize("x, cfg", STREAM_CASES)
@@ -774,18 +796,22 @@ def _oracle_distinct_columns(dx, start):
 def _oracle_span(dx, start, mode):
     """For a series mode with more rows than distinct Hankel columns, the
     span basis ``Q`` of the compressed factor and the coordinates ``Q.T``
-    of every distinct column: the QR's triangle ``R`` for the columns it
-    factors, a product with ``Q.T`` for the ``start`` head columns. Else
+    of every distinct column. Both come from one raw Householder QR of the
+    columns the objective sees followed by the ``start`` head columns:
+    ``Q`` from its first K reflectors, the coordinates from the first K rows
+    of its triangle ``R``, the head's moved back to the front. Else
     ``None``."""
-    h = unfold(_oracle_distinct_columns(dx, start), mode)
-    n_rows, n_cols = h.shape
+    tail = unfold(_oracle_distinct_columns(dx, start), mode)
+    n_rows, n_cols = tail.shape
     if n_rows <= n_cols:
         return None
-    basis, r = np.linalg.qr(h)
-    head = basis.T @ unfold(_oracle_distinct_columns(dx, 0)[..., :start], mode)
+    head = unfold(_oracle_distinct_columns(dx, 0)[..., :start], mode)
+    h, tau = np.linalg.qr(np.concatenate([tail, head], axis=1), mode="raw")
+    r = np.triu(h.T[:n_cols])
     shape = list(dx.shape[:-2]) + [dx.shape[-1] + dx.shape[-2] - 1]
     shape[mode] = n_cols
-    return basis, fold(np.concatenate([head, r], axis=1), mode, shape)
+    coordinates = fold(np.concatenate([r[:, n_cols:], r[:, :n_cols]], axis=1), mode, shape)
+    return linalg.householder_basis(h, tau, n_cols), coordinates
 
 
 def _oracle_align(u, previous):
@@ -1346,13 +1372,17 @@ def test_trend_panel_forecasts_continue_the_trend(shape):
 
 @pytest.mark.parametrize(
     "shape, compressed",
-    [((50, 12), [0]), ((300, 40), [0]), ((5, 40), [])],
-    ids=["50x12", "300x40", "5x40"],
+    [((50, 12), [0]), ((300, 40), [0]), ((1000, 40), [0]), ((2000, 40), [0]),
+     ((1000, 120), [0]), ((5, 40), [])],
+    ids=["50x12", "300x40", "1000x40", "2000x40", "1000x120", "5x40"],
 )
 def test_constant_panel_at_d0_forecasts_the_constant(shape, compressed):
     # In span coordinates the head slices and the rest take different
     # arithmetic, so a constant panel's cores are equal only to rounding;
-    # the AR estimate must still fall back.
+    # the AR estimate must still fall back. All but one column of the span
+    # basis span rounding noise here; projecting each predicted slice back
+    # through them, as the forecast once did, cost the three tall shapes
+    # their 1e-12 (1.7e-12, 2.9e-12 and 1.7e-12).
     m = fit(np.full(shape, 2.5), ModelConfig(d=0))
     assert _compressed_modes(m) == compressed
     assert m.coeffs.ar_fallback
@@ -1534,6 +1564,32 @@ def test_fit_large_is_not_held_back_by_sign_flips():
 
 
 # --- the capped compressed mode is held at its span basis ------------------------
+
+
+@pytest.mark.parametrize(
+    "x, cfg, n_compressed",
+    [
+        pytest.param(LARGE_PANEL, ModelConfig(), 1, id="1000x190-auto"),
+        pytest.param(LARGE_PANEL, ModelConfig(ranks=(6, 3)), 1, id="1000x190-6-3"),
+        pytest.param(_MODE1_PANEL, ModelConfig(ortho="relaxed"), 1, id="2x60x12-relaxed"),
+        pytest.param(BENCH, BENCH_CFG, 0, id="20x40"),
+        pytest.param(FIT_PANELS["12x8x48"], ModelConfig(), 0, id="12x8x48"),
+    ],
+)
+def test_fit_takes_one_raw_qr_per_compressed_mode(monkeypatch, x, cfg, n_compressed):
+    # The span basis comes from the reflectors of one raw QR, which also
+    # holds the coordinates; LAPACK's orgqr never runs.
+    modes = []
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode)
+
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    m = fit(x, cfg)
+    assert len(_compressed_modes(m)) == n_compressed
+    assert modes == ["raw"] * n_compressed
 
 
 def _spans_of(x, cfg):
