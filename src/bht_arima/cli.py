@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .errors import BhtArimaError, ConfigError, DataFormatError, NumericalError
-from .evaluate import rolling_backtest, synth_dataset
+from .evaluate import SYNTH_KINDS, _spec_lines, rolling_backtest, synth_dataset
 from .model import FittedModel, ModelConfig, _require_finite, fit, forecast
 from .tensor import read_flat_tensor, write_flat_tensor
 
@@ -147,15 +147,7 @@ def _summary_text(args: argparse.Namespace, model: FittedModel) -> str:
         f"embedded_shape = {','.join(str(s) for s in model.embedded_shape)}",
         f"t_hat = {model.t_hat}",
         f"horizon = {args.horizon}",
-        f"p = {cfg.p}",
-        f"d = {cfg.d}",
-        f"q = {cfg.q}",
-        f"tau = {cfg.tau}",
-        f"ranks = {','.join(str(r) for r in model.ranks)}",
-        f"max_iter = {cfg.max_iter}",
-        f"tol = {cfg.tol:.9g}",
-        f"ortho = {cfg.ortho}",
-        f"seed = {cfg.seed}",
+        *_spec_lines(cfg, ",".join(str(r) for r in model.ranks)),
         f"converged = {str(model.converged).lower()}",
         f"iterations_used = {model.iterations_used}",
         f"alpha = {','.join(f'{a:.9g}' for a in model.coeffs.alpha)}",
@@ -217,25 +209,30 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, default=2, help="AR order (default 2)")
-    parser.add_argument("--d", type=int, default=1, help="differencing order (default 1)")
-    parser.add_argument("--q", type=int, default=1, help="MA order (default 1)")
-    parser.add_argument("--tau", type=int, default=3, help="embedding window (default 3)")
+    defaults = ModelConfig()
+    for flag, name, text in (
+        ("--p", "p", "AR order"),
+        ("--d", "d", "differencing order"),
+        ("--q", "q", "MA order"),
+        ("--tau", "tau", "embedding window"),
+        ("--iters", "max_iter", "max iterations"),
+        ("--tol", "tol", "stop tolerance"),
+        ("--seed", "seed", "seed echoed in reports; fits start from the data and read no seed"),
+    ):
+        default = getattr(defaults, name)
+        parser.add_argument(
+            flag, type=type(default), default=default, help=f"{text} (default %(default)s)"
+        )
+    # ModelConfig's ranks default, None, picks the ranks from the data.
     parser.add_argument(
         "--ranks",
         type=str,
         default=None,
         help="comma-separated Tucker ranks, one per embedded mode (default auto)",
     )
-    parser.add_argument("--iters", type=int, default=10, help="max iterations (default 10)")
-    parser.add_argument("--tol", type=float, default=1e-5, help="stop tolerance (default 1e-5)")
     parser.add_argument(
-        "--ortho", choices=("full", "relaxed"), default="full",
-        help="orthogonality mode (default full)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed echoed in reports; fits start from the data and read no seed (default 0)",
+        "--ortho", choices=("full", "relaxed"), default=defaults.ortho,
+        help="orthogonality mode (default %(default)s)",
     )
 
 
@@ -281,10 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(bt)
 
     sy = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
-    sy.add_argument(
-        "--kind", choices=("sinusoid-mixture", "ar2-panel", "random-walk"),
-        default="sinusoid-mixture",
-    )
+    sy.add_argument("--kind", choices=SYNTH_KINDS, default="sinusoid-mixture")
     sy.add_argument("--n-series", type=int, default=20)
     sy.add_argument("--length", type=int, default=40)
     sy.add_argument("--noise", type=float, default=0.05)

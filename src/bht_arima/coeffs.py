@@ -11,7 +11,7 @@ lags (an innovations-by-regression approximation), solved through the
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,17 @@ _DEGENERATE_RTOL = 1e-12
 class ArimaCoefficients:
     """AR coefficients ``alpha`` (length p) and MA coefficients ``beta``
     (length q), with diagnostic flags for fallback paths: ``ar_fallback``
-    is set whenever ``alpha`` is not the unbiased Yule-Walker solve."""
+    is set whenever ``alpha`` is not the unbiased Yule-Walker solve.
+    Derived, read-only: ``ar_stable``, :func:`ar_is_stable` of ``alpha``."""
 
     alpha: np.ndarray
     beta: np.ndarray
     ar_fallback: bool = False
     ma_fallback: bool = False
-    ar_stable: bool = field(default=True)
+
+    @property
+    def ar_stable(self) -> bool:
+        return ar_is_stable(self.alpha)
 
 
 def _as_sequence(g: np.ndarray) -> np.ndarray:
@@ -160,8 +164,6 @@ def estimate_coefficients(g: np.ndarray, p: int, q: int) -> ArimaCoefficients:
         beta=beta,
         ar_fallback=ar_fb,
         ma_fallback=ma_fb,
-        # estimate_ar has already checked an estimate it did not fall back from.
-        ar_stable=not ar_fb or ar_is_stable(alpha),
     )
 
 

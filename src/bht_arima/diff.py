@@ -24,11 +24,15 @@ class DifferencedSeries:
     (last axis = time, length ``L - order``). ``tails[k]`` is the last slice
     of the level-``k`` sequence for ``k = 0..order-1``. A fitted or streamed
     model keeps only the newest difference, as ``slices[..., -1:]``.
+    Derived, read-only: ``order``, the number of tails.
     """
 
-    order: int
     slices: np.ndarray
     tails: tuple[np.ndarray, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.tails)
 
 
 def difference(s: np.ndarray, d: int) -> DifferencedSeries:
@@ -47,7 +51,7 @@ def difference(s: np.ndarray, d: int) -> DifferencedSeries:
         level = np.diff(level, axis=-1)
     # np.diff has already made a fresh array; only d = 0 must copy the input.
     slices = level if d else level.copy()
-    return DifferencedSeries(order=d, slices=slices, tails=tuple(tails))
+    return DifferencedSeries(slices=slices, tails=tuple(tails))
 
 
 def _integrate(

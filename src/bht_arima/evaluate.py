@@ -44,19 +44,24 @@ AR2_COEFFS = (0.5, -0.3)
 class EvalReport:
     """Backtest summary. ``per_step_nrmse`` is indexed by horizon step for
     the multi-step protocol and by test step for the one-step protocol.
-    ``config_echo`` is the requested configuration, with ranks uncapped."""
+    ``config_echo`` is the requested configuration, with ranks uncapped.
+    Derived, read-only: ``protocol``, ``"rolling-one-step"`` at horizon 1
+    and ``"recursive-multi-step"`` beyond."""
 
     nrmse: float
     per_step_nrmse: np.ndarray
     runtime_seconds: float
     config_echo: ModelConfig
     converged_fraction: float
-    protocol: str
     train_fraction: float
     horizon: int
     n_train: int
     n_test: int
     refit: bool
+
+    @property
+    def protocol(self) -> str:
+        return "rolling-one-step" if self.horizon == 1 else "recursive-multi-step"
 
     def to_text(self) -> str:
         """Canonical key-value serialization.
@@ -75,15 +80,7 @@ class EvalReport:
             f"n_train = {self.n_train}",
             f"n_test = {self.n_test}",
             f"refit = {str(self.refit).lower()}",
-            f"p = {cfg.p}",
-            f"d = {cfg.d}",
-            f"q = {cfg.q}",
-            f"tau = {cfg.tau}",
-            f"ranks = {_fmt_ranks(cfg.ranks)}",
-            f"max_iter = {cfg.max_iter}",
-            f"tol = {_fmt(cfg.tol)}",
-            f"ortho = {cfg.ortho}",
-            f"seed = {cfg.seed}",
+            *_spec_lines(cfg, _fmt_ranks(cfg.ranks)),
             f"converged_fraction = {_fmt(self.converged_fraction)}",
             f"nrmse = {_fmt(self.nrmse)}",
             "per_step_nrmse = "
@@ -98,6 +95,22 @@ def _fmt(v: float) -> str:
 
 def _fmt_ranks(ranks: tuple[int, ...] | None) -> str:
     return "auto" if ranks is None else ",".join(str(r) for r in ranks)
+
+
+def _spec_lines(cfg: ModelConfig, ranks: str) -> list[str]:
+    """The run specification's report lines, ``p`` through ``seed``, with
+    ``ranks`` as the text of the ranks line."""
+    return [
+        f"p = {cfg.p}",
+        f"d = {cfg.d}",
+        f"q = {cfg.q}",
+        f"tau = {cfg.tau}",
+        f"ranks = {ranks}",
+        f"max_iter = {cfg.max_iter}",
+        f"tol = {_fmt(cfg.tol)}",
+        f"ortho = {cfg.ortho}",
+        f"seed = {cfg.seed}",
+    ]
 
 
 def nrmse(forecast: np.ndarray, actual: np.ndarray) -> float:
@@ -192,14 +205,12 @@ def rolling_backtest(
         else:
             preds, conv = _one_step_forecasts_rolling(x, cfg, n_train)
         actuals = [x[..., k] for k in range(n_train, t_len)]
-        protocol = "rolling-one-step"
     else:
         model = fit(x[..., :n_train], cfg)
         result = forecast(model, horizon)
         preds = [result.forecasts[..., h] for h in range(horizon)]
         actuals = [x[..., n_train + h] for h in range(horizon)]
         conv = [model.converged]
-        protocol = "recursive-multi-step"
     per_step = np.array([nrmse(f, a) for f, a in zip(preds, actuals)])
     overall = nrmse(np.stack(preds, axis=-1), np.stack(actuals, axis=-1))
     runtime = time.perf_counter() - began
@@ -209,7 +220,6 @@ def rolling_backtest(
         runtime_seconds=runtime,
         config_echo=cfg,
         converged_fraction=float(np.mean(conv)),
-        protocol=protocol,
         train_fraction=train_fraction,
         horizon=horizon,
         n_train=n_train,

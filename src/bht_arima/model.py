@@ -164,8 +164,12 @@ class FittedModel:
     ``diff_state`` holds the ``d`` differencing tails and the newest
     difference as ``slices[..., -1:]``. From :func:`fit`, ``cores`` holds the
     core of every differenced slice; after :func:`append_observation`, only
-    the newest ``max(p, 1)`` cores. ``original_shape`` and ``t_hat`` count
-    the whole history.
+    the newest ``max(p, 1)`` cores. ``original_shape`` counts the whole
+    history. Derived, read-only: ``ranks`` (the cores' leading shape),
+    ``embedded_shape`` (the series extents and ``config.tau``), ``t_hat``
+    (the embedded history length), ``iterations_used`` (the sweeps in
+    ``trace``) and ``converged`` (whether the last sweep's factor change
+    fell below ``config.tol``).
     """
 
     config: ModelConfig
@@ -174,20 +178,31 @@ class FittedModel:
     errors: tuple[np.ndarray, ...]
     coeffs: ArimaCoefficients
     diff_state: DifferencedSeries
-    tau: int
     original_shape: tuple[int, ...]
-    embedded_shape: tuple[int, ...]
-    t_hat: int
     trace: np.ndarray
     ortho_trace: np.ndarray
-    converged: bool
-    iterations_used: int
     relaxed_ridge_used: bool = False
     error_updates_skipped: bool = False
 
     @property
     def ranks(self) -> tuple[int, ...]:
         return self.cores.shape[:-1]
+
+    @property
+    def embedded_shape(self) -> tuple[int, ...]:
+        return (*self.original_shape[:-1], self.config.tau)
+
+    @property
+    def t_hat(self) -> int:
+        return self.original_shape[-1] - self.config.tau + 1
+
+    @property
+    def iterations_used(self) -> int:
+        return self.trace.size
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.trace[-1] < self.config.tol)
 
 
 @dataclass(frozen=True)
@@ -393,19 +408,6 @@ def update_error(
     return numerator / (denom_scale * beta[lag]), False
 
 
-def _projectors(model: FittedModel) -> list[np.ndarray]:
-    """Per-mode projection matrices mapping a model's slices to cores.
-
-    Transposes for orthonormal factors; for the unconstrained last factor of
-    relaxed mode the Moore-Penrose inverse, which is the least-squares
-    projection and coincides with the transpose exactly when orthonormal.
-    """
-    mats = [f.T for f in model.factors]
-    if model.config.ortho == "relaxed":
-        mats[-1] = linalg.pinv(model.factors[-1])
-    return mats
-
-
 def _project(
     t: np.ndarray, factors: Sequence[np.ndarray | None], skip: Container[int]
 ) -> np.ndarray:
@@ -527,7 +529,7 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
     errors = [np.zeros(ranks) for _ in range(q)]
     trace: list[float] = []
     ortho_trace: list[float] = []
-    converged = ridge_used = err_skipped = False
+    ridge_used = err_skipped = False
 
     # ``prefix`` is ``y`` projected on the modes already updated in this
     # sweep: at the end of a sweep, the next sweep's cores.
@@ -573,7 +575,6 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         trace.append(delta)
         ortho_trace.append(max(held_defect + [_ortho_defect(f) for f, _ in swept]))
         if delta < cfg.tol:
-            converged = True
             break
     # ``cores`` holds the last sweep's updated cores and ``prefix`` the
     # projections under the final factors.
@@ -600,14 +601,9 @@ def fit(x: np.ndarray, cfg: ModelConfig) -> FittedModel:
         errors=tuple(e.copy() for e in errors),
         coeffs=est,
         diff_state=ds,
-        tau=cfg.tau,
         original_shape=x.shape,
-        embedded_shape=emb_shape,
-        t_hat=t_hat,
         trace=np.array(trace),
         ortho_trace=np.array(ortho_trace),
-        converged=converged,
-        iterations_used=len(trace),
         relaxed_ridge_used=ridge_used,
         error_updates_skipped=err_skipped,
     )
@@ -700,7 +696,12 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
     window = ds.tails[0] if ds.order else ds.slices[..., -1]
     emb_new = np.concatenate([window[..., 1:], new_slice[..., None]], axis=-1)
     tails, d_new = _difference_step(ds.tails, emb_new)
-    g_new = multi_mode_product(d_new, _projectors(model))
+    projectors = [f.T for f in model.factors]
+    # Relaxed mode's last factor is not orthonormal; its least-squares
+    # projector is the Moore-Penrose inverse.
+    if model.config.ortho == "relaxed":
+        projectors[-1] = linalg.pinv(model.factors[-1])
+    g_new = multi_mode_product(d_new, projectors)
     errors = list(model.errors)
     p = len(model.coeffs.alpha)
     if errors:
@@ -717,5 +718,4 @@ def append_observation(model: FittedModel, new_slice: np.ndarray) -> FittedModel
         errors=tuple(errors),
         diff_state=replace(ds, slices=d_new[..., None], tails=tails),
         original_shape=(*model.original_shape[:-1], model.original_shape[-1] + 1),
-        t_hat=model.t_hat + 1,
     )

@@ -8,6 +8,7 @@ import pytest
 import bht_arima.cli as cli
 from bht_arima.errors import DataFormatError, NumericalError
 from bht_arima.evaluate import synth_dataset
+from bht_arima.model import ModelConfig
 
 
 def write(path, text):
@@ -219,6 +220,12 @@ def test_failed_output_write_names_requested_path(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(fc) in err
     assert ".tmp-" not in err
+
+
+@pytest.mark.parametrize("command", ["fit-forecast", "backtest"])
+def test_unset_model_flags_give_the_default_config(command):
+    args = cli._build_parser().parse_args([command, "x.csv"])
+    assert cli._model_config(args) == ModelConfig()
 
 
 def test_argparse_usage_maps_to_exit_1():

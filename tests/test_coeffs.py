@@ -6,6 +6,7 @@ import pytest
 import bht_arima.coeffs
 from bht_arima.coeffs import (
     MA_FALLBACK,
+    ArimaCoefficients,
     ar_is_stable,
     autocovariance,
     estimate_ar,
@@ -207,6 +208,12 @@ def test_ar_stability_diagnostic():
     assert not ar_is_stable(np.array([1.5]))
     assert ar_is_stable(np.zeros(0))
     assert ar_is_stable(np.zeros(3))
+
+
+def test_ar_stable_reads_the_coefficients():
+    # the random-walk AR has its root on the unit circle
+    assert not ArimaCoefficients(alpha=np.array([1.0]), beta=np.zeros(0)).ar_stable
+    assert ArimaCoefficients(alpha=np.array([0.5, -0.3]), beta=np.zeros(0)).ar_stable
 
 
 def test_estimate_coefficients_bundles_flags():

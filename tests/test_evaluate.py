@@ -322,10 +322,10 @@ def test_report_text_excludes_runtime():
     report = EvalReport(
         nrmse=0.5, per_step_nrmse=np.array([0.5]), runtime_seconds=123.0,
         config_echo=ModelConfig(), converged_fraction=1.0,
-        protocol="rolling-one-step", train_fraction=0.9, horizon=1,
-        n_train=9, n_test=1, refit=True,
+        train_fraction=0.9, horizon=1, n_train=9, n_test=1, refit=True,
     )
     assert "runtime" not in report.to_text()
+    assert "protocol = rolling-one-step\n" in report.to_text()
 
 
 def test_random_walk_persistence_equivalence():

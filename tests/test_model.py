@@ -18,7 +18,6 @@ from bht_arima.errors import ConfigError, DataFormatError
 from bht_arima.evaluate import naive_last_value, nrmse, rolling_backtest, synth_dataset
 from bht_arima.mdt import inverse_mdt_temporal, mdt_temporal
 from bht_arima.model import (
-    FittedModel,
     ModelConfig,
     append_observation,
     fit,
@@ -355,6 +354,18 @@ def test_fit_shape_laws():
     assert m.trace.shape == m.ortho_trace.shape
 
 
+@pytest.mark.parametrize("max_iter, converged", [(10, True), (1, False)])
+def test_convergence_diagnostics_read_the_trace(max_iter, converged):
+    cfg = ModelConfig(max_iter=max_iter)
+    m = fit(synth_dataset("sinusoid-mixture", 200, 90, 0.05, seed=7), cfg)
+    assert m.iterations_used == m.trace.size
+    assert m.converged is converged
+    assert (m.trace[-1] < cfg.tol) == converged
+    assert np.all(m.trace[:-1] >= cfg.tol)
+    if not converged:
+        assert m.iterations_used == cfg.max_iter
+
+
 def test_fit_rejects_bad_shapes():
     with pytest.raises(ConfigError):
         fit(np.zeros(10), BENCH_CFG)
@@ -384,14 +395,7 @@ def test_forecast_persistence_reduction():
     x = rng.standard_normal((3, 15))
     cfg = ModelConfig(p=1, d=0, q=0, tau=2, ranks=(3, 2), max_iter=5, tol=1e-5, seed=1)
     m = fit(x, cfg)
-    forced = FittedModel(
-        config=m.config, factors=m.factors, cores=m.cores, errors=m.errors,
-        coeffs=type(m.coeffs)(alpha=np.array([1.0]), beta=np.zeros(0)),
-        diff_state=m.diff_state, tau=m.tau, original_shape=m.original_shape,
-        embedded_shape=m.embedded_shape, t_hat=m.t_hat, trace=m.trace,
-        ortho_trace=m.ortho_trace, converged=m.converged,
-        iterations_used=m.iterations_used,
-    )
+    forced = replace(m, coeffs=type(m.coeffs)(alpha=np.array([1.0]), beta=np.zeros(0)))
     result = forecast(forced, 1)
     expected = multi_mode_product(forced.cores[..., -1], list(m.factors))
     assert np.max(np.abs(result.embedded_forecasts[..., 0] - expected)) < 1e-12
@@ -445,6 +449,10 @@ def test_append_observation_advances_state():
     assert m2.original_shape == (20, 37)
     realized = m2.cores[..., -1] - predicted
     assert np.max(np.abs(m2.errors[0] - realized)) < 1e-12
+    m3 = append_observation(append_observation(m2, BENCH[..., 37]), BENCH[..., 38])
+    assert m3.original_shape == (20, 39)
+    assert m3.t_hat == m.t_hat + 3 == 39 - BENCH_CFG.tau + 1
+    assert m3.embedded_shape == m.embedded_shape == (20, BENCH_CFG.tau)
 
 
 def test_append_observation_shape_check():
@@ -492,7 +500,7 @@ def _oracle_prediction(m, cores, errors):
 def _history(seen, m):
     """The whole embedded history of the panel ``seen``, rebuilt from the
     panel itself, and its order-d differences and their last slices."""
-    emb = mdt_temporal(seen, m.tau)
+    emb = mdt_temporal(seen, m.config.tau)
     tails = [np.diff(emb, n=k, axis=-1)[..., -1] for k in range(m.config.d)]
     return emb, np.diff(emb, n=m.config.d, axis=-1), tails
 
@@ -516,7 +524,7 @@ def oracle_forecast(m, seen, horizon, reproject=False):
             emb_slice = tails[k] + emb_slice
             tails[k] = emb_slice
         emb_seq = np.concatenate([emb_seq, emb_slice[..., None]], axis=-1)
-        out_orig.append(inverse_mdt_temporal(emb_seq, m.tau)[..., -1])
+        out_orig.append(inverse_mdt_temporal(emb_seq, m.config.tau)[..., -1])
         out_emb.append(emb_slice)
         if reproject:
             pred = multi_mode_product(d_slice, _oracle_projectors(m))
@@ -541,7 +549,6 @@ def oracle_append(m, seen):
         errors=tuple(errors),
         diff_state=replace(m.diff_state, slices=dx[..., -1:], tails=tuple(tails)),
         original_shape=seen.shape,
-        t_hat=m.t_hat + 1,
     )
 
 
@@ -662,7 +669,7 @@ def test_fit_returns_the_streamed_diff_state_form(d):
     x = BENCH[..., :36]
     m = fit(x, ModelConfig(d=d))
     streamed = append_observation(m, BENCH[..., 36]).diff_state
-    dx = np.diff(mdt_temporal(x, m.tau), n=d, axis=-1)
+    dx = np.diff(mdt_temporal(x, m.config.tau), n=d, axis=-1)
     for ds in (m.diff_state, streamed):
         assert ds.order == d and len(ds.tails) == d
         assert ds.slices.shape == (*m.embedded_shape, 1)
@@ -1259,7 +1266,7 @@ def test_full_fit_converges_on_200x90(seed):
 def _column_counts(m):
     """Per series mode, its count K of distinct Hankel columns."""
     series = m.embedded_shape[:-1]
-    n_distinct = m.cores.shape[-1] - (m.config.p + m.config.q) + m.tau - 1
+    n_distinct = m.cores.shape[-1] - (m.config.p + m.config.q) + m.config.tau - 1
     return [math.prod(series) // j * n_distinct for j in series]
 
 
